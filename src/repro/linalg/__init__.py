@@ -1,12 +1,11 @@
-"""Numerical building blocks: OMP sparse coding, incremental Cholesky,
-pseudo-inverse and power iteration.
+"""Numerical building blocks: OMP sparse coding, pseudo-inverse and
+power iteration.
 
 The OMP routines are the computational core of ExD (Alg. 1 step 3); the
 Batch-OMP variant with progressive Cholesky updates is the one the paper
 uses ("we use Batch-OMP based on Cholesky factorization updates [32]").
 """
 
-from repro.linalg.cholesky import IncrementalCholesky
 from repro.linalg.kernels import (
     OMPKernelBackend,
     available_backends,
@@ -35,7 +34,6 @@ from repro.linalg.power_iteration import power_iteration, top_eigenpairs
 from repro.linalg.norms import frobenius_norm, relative_frobenius_error
 
 __all__ = [
-    "IncrementalCholesky",
     "OMPKernelBackend",
     "available_backends",
     "registered_backend_names",

@@ -4,19 +4,26 @@ The Batch-OMP *orchestration* — panel-blocked ``DᵀA`` products, CSC
 assembly, strict-mode semantics, the Eq. 2/3 FLOP ledger and the
 observability counters — is pure python and lives in
 :mod:`repro.linalg.omp` / :mod:`repro.linalg.parallel_omp`.  The
-per-column greedy selection loop underneath it is the hot path: for
-every selected atom it performs an argmax over ``L`` correlations, an
+greedy selection loop underneath it is the hot path: for every
+selected atom it performs an argmax over ``L`` correlations, an
 ``O(k²)`` progressive Cholesky update and an ``O(L·k)`` correlation
-refresh, all of which the reference implementation pays python-loop
-overhead for on every atom.  This package splits that loop out behind a
-narrow backend interface — the same pure-python-orchestration-over-
-compiled-kernels layering RankMap and gpaw use — so compiled
+refresh, with ``k`` rarely above 4 — so its cost is interpreter
+overhead per step, not arithmetic.  This package splits that loop out
+behind a narrow backend interface — the same pure-python-orchestration-
+over-compiled-kernels layering RankMap and gpaw use — so
 implementations can be swapped in without touching the accounting
 layer:
 
 ``numpy``
-    The bit-exact reference (the historical ``_batch_omp_column`` loop,
-    moved verbatim into :mod:`repro.linalg.kernels.numpy_ref`).
+    The default (:mod:`repro.linalg.kernels.numpy_ref`): a lockstep
+    panel loop that advances every active column of a panel by one
+    greedy step per round of numpy calls, so the interpreter cost is
+    paid per panel instead of per column.  Calls narrower than
+    :data:`~repro.linalg.kernels.numpy_ref.LOCKSTEP_MIN_COLS` (serve
+    micro-batches) run the per-column loop
+    :func:`~repro.linalg.kernels.numpy_ref.batch_omp_column` instead,
+    which is also the bit-exact oracle of the lockstep loop: both give
+    every column the same bits, whatever its neighbours.
 ``numba``
     A lazily-compiled ``@njit`` kernel running the whole panel's greedy
     loops in machine code (:mod:`repro.linalg.kernels.numba_kernel`).
@@ -46,11 +53,13 @@ Compiled backends must select the **identical atom sequence** as the
 numpy reference on well-conditioned inputs (the conformance suite's
 golden cases) and reproduce its coefficients to :data:`COEF_RTOL` /
 :data:`COEF_ATOL`.  Exact bit-identity across backends is *not*
-promised — compiled substitution loops round differently from
-LAPACK — which is why the backend choice is recorded by consumers that
-persist results (the streaming encoder's checkpoints) and why every
+promised — a compiled loop may sum in another order or vectorise —
+which is why the backend choice is recorded by consumers that persist
+results (the streaming encoder's checkpoints) and why every
 bit-identity guarantee in the repo (serial vs. parallel vs. streaming
-vs. serving) is scoped to *within one backend*.
+vs. serving) is scoped to *within one backend*.  Within a backend, a
+column's result must depend only on ``(G, its DᵀA column, ‖a_j‖²)``:
+never on the other columns of the call or on the call's width.
 """
 
 from __future__ import annotations

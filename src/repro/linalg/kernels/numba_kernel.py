@@ -2,13 +2,17 @@
 
 The whole per-panel greedy loop — argmax selection, progressive
 Cholesky update, triangular solves and the ``α = Dᵀa − G[:, I] c``
-refresh — runs inside one ``@njit`` function, eliminating the per-atom
-python overhead the reference pays.  The algorithm is a line-for-line
-transcription of :func:`repro.linalg.kernels.numpy_ref.batch_omp_column`
+refresh — runs inside one ``@njit`` function, column after column.  The
+algorithm follows :func:`repro.linalg.kernels.numpy_ref.batch_omp_column`
 (same selection rule, same ``1e-12`` pivot tolerance, same stopping
-floor), so atom-selection sequences match the reference; coefficients
-agree to the package tolerance contract (compiled substitution loops
-round differently from LAPACK's blocked triangular solves).
+floor), so atom-selection sequences match the numpy kernel;
+coefficients agree to the package tolerance contract but not bit for
+bit: its back substitution and ``α`` sums run in a different order
+from the numpy kernel's, and its inner loops may be vectorised by the
+compiler.  The numpy kernel it is measured against is the lockstep
+panel loop (see :mod:`repro.linalg.kernels.numpy_ref`), so the speed-up
+this backend must show (``benchmarks/bench_parallel_omp.py``) is over
+that kernel, not over a per-column python loop.
 
 Compilation is lazy (first encode) and cached: ``cache=True`` persists
 the machine code next to this file, so one process's compile pays for
@@ -32,7 +36,7 @@ from repro.linalg.kernels import OMPKernelBackend, register_backend
 
 __all__ = ["NumbaBackend"]
 
-# Same numerical-dependence threshold as IncrementalCholesky's default.
+# Same numerical-dependence threshold as the numpy kernel's PIVOT_TOL.
 _PIVOT_TOL = 1e-12
 
 _KERNEL = None
@@ -93,7 +97,7 @@ def _build_kernel():
                 # Progressive Cholesky append of G[best, best] with
                 # cross terms G[support, best]; a non-positive pivot
                 # means the atom is numerically dependent — ban it and
-                # retry, exactly like IncrementalCholesky.append.
+                # retry, exactly like the numpy kernel.
                 ok = True
                 if size == 0:
                     diag = gram[best, best]

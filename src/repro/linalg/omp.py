@@ -30,11 +30,7 @@ from repro.online.stats import record_encode
 from repro.linalg.kernels.numpy_ref import batch_omp_column
 from repro.sparse.builder import ColumnBuilder
 from repro.sparse.csc import CSCMatrix
-
-#: Backwards-compatible alias: the reference per-column kernel now lives
-#: in :mod:`repro.linalg.kernels.numpy_ref` (it is the ``numpy``
-#: backend); historical imports keep working.
-_batch_omp_column = batch_omp_column
+from repro.utils.validation import check_fraction, check_positive_int
 
 
 @dataclass
@@ -264,6 +260,21 @@ def omp_solve(d, a, eps: float, *, max_atoms: int | None = None,
                      rnorm, converged, it)
 
 
+def check_encode_args(eps, max_atoms) -> tuple[float, int | None]:
+    """Validate the tolerance and sparsity cap of a public encode call.
+
+    ``eps`` must lie in ``[0, 1]`` and ``max_atoms`` must be ``None`` or
+    a positive integer; both raise
+    :class:`~repro.errors.ValidationError` otherwise.  (Unchecked, a
+    negative ``eps`` squares into a positive tolerance, a NaN one stops
+    nothing and a negative cap silently returns all-zero codes.)
+    """
+    eps = check_fraction(eps, "eps", inclusive_low=True)
+    if max_atoms is not None:
+        max_atoms = check_positive_int(max_atoms, "max_atoms")
+    return eps, max_atoms
+
+
 def _strict_failure(eps: float, l: int, res_sq: float,
                     a_sq: float) -> DictionaryError:
     target_sq = (eps * float(np.sqrt(a_sq))) ** 2
@@ -284,13 +295,14 @@ def batch_omp_solve(d, a, eps: float, *, gram: np.ndarray | None = None,
     ``‖r‖² = ‖a‖² − cᵀ (Dᵀa)_I`` (valid because ``r ⊥ span(D_I)``).
     """
     d, a = _prepare(d, a)
+    eps, max_atoms = check_encode_args(eps, max_atoms)
     m, l = d.shape
     if gram is None:
         gram = d.T @ d
     if dta is None:
         dta = d.T @ a
     a_sq = float(a @ a)
-    support, coef, res_sq, it, converged = _batch_omp_column(
+    support, coef, res_sq, it, converged = batch_omp_column(
         gram, dta, a_sq, eps, max_atoms)
     if strict and not converged:
         raise _strict_failure(eps, l, res_sq, a_sq)
@@ -365,6 +377,9 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
     DictionaryError
         With ``strict=True``, as soon as any column cannot meet ``eps``
         — the paper's ``L < L_min`` infeasible regime.
+    ValidationError
+        When ``eps`` is outside ``[0, 1]`` or ``max_atoms`` is not a
+        positive integer.
     """
     from repro.linalg.parallel_omp import (
         cached_gram,
@@ -386,6 +401,7 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
     if a.ndim != 2 or a.shape[0] != m:
         raise ValidationError(
             f"incompatible shapes: D({m}, {l}), A{a.shape}")
+    eps, max_atoms = check_encode_args(eps, max_atoms)
     if resolve_workers(workers) > 1:
         return parallel_batch_omp_matrix(d, a, eps, max_atoms=max_atoms,
                                          strict=strict, gram=gram,
@@ -407,17 +423,21 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
         # BLAS-3 panels (never materialising the (L, N) product — the
         # fixed partition is also what lets the out-of-core streaming
         # encoder reproduce these bits block by block).  Strict-mode
-        # still fails on the smallest out-of-tolerance column index.
+        # still fails on the smallest out-of-tolerance column index; each
+        # panel's codes land in C with one bulk append.
         for lo, hi, dta_panel in iter_panel_dta(d, a):
             results = kernel.batch_omp_columns(
                 gram, dta_panel, col_sq[lo:hi], eps, max_atoms)
-            for off, (support, coef, res_sq, it, ok) in enumerate(results):
-                if strict and not ok:
-                    raise _strict_failure(eps, l, res_sq,
-                                          float(col_sq[lo + off]))
-                builder.add_column(support, coef)
-                total_iters += it
-                converged_mask[lo + off] = ok
+            ok = np.fromiter((r[4] for r in results), dtype=bool,
+                             count=hi - lo)
+            if strict and not ok.all():
+                off = int(np.argmin(ok))
+                raise _strict_failure(eps, l, results[off][2],
+                                      float(col_sq[lo + off]))
+            builder.add_columns([r[0] for r in results],
+                                [r[1] for r in results])
+            total_iters += sum(r[3] for r in results)
+            converged_mask[lo:hi] = ok
         c = builder.finalize()
     # FLOP model: DᵀA is 2·transform_nnz·N (= 2·M·N·L dense — a
     # factored dictionary's ledger counts its actual Σⱼ nnz(Sⱼ)); each

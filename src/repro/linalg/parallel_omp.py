@@ -284,39 +284,32 @@ def _encode_chunk(shared: _EncodeShared, bounds: tuple[int, int]):
     """Code columns ``[lo, hi)``; returns arrays ready for ordered merge.
 
     The per-column computation runs through exactly the kernel backend
-    the parent resolved (same kernel, same ``‖a‖²`` dot, same stable
-    row sort as the serial path), which is what makes the merged output
-    bit-identical — workers never re-resolve config/env, they inherit
-    the concrete backend name in ``shared``.
+    the parent resolved (same kernel, same ``‖a‖²`` dot, same row order
+    as the serial path's bulk append), which is what makes the merged
+    output bit-identical — workers never re-resolve config/env, they
+    inherit the concrete backend name in ``shared``.
     """
     from repro.linalg.kernels import get_backend
+    from repro.sparse.builder import stack_columns
 
     kernel = get_backend(shared.backend)
     lo, hi = bounds
-    data_parts: list[np.ndarray] = []
-    index_parts: list[np.ndarray] = []
-    col_nnz = np.zeros(hi - lo, dtype=np.int64)
-    iterations = np.zeros(hi - lo, dtype=np.int64)
-    converged = np.zeros(hi - lo, dtype=bool)
     results = kernel.batch_omp_columns(
         shared.gram, shared.dta[:, lo:hi], shared.col_sq[lo:hi],
         shared.eps, shared.max_atoms)
-    for off, (support, coef, res_sq, it, ok) in enumerate(results):
-        if shared.strict and not ok:
-            # Serial raises at the first failing column; report it so the
-            # parent can raise deterministically for the smallest j.
-            return ("error", lo + off, float(res_sq),
-                    float(shared.col_sq[lo + off]))
-        order = np.argsort(support, kind="stable")
-        index_parts.append(support[order])
-        data_parts.append(coef[order])
-        col_nnz[off] = support.size
-        iterations[off] = it
-        converged[off] = ok
-    data = (np.concatenate(data_parts) if data_parts
-            else np.empty(0, dtype=np.float64))
-    indices = (np.concatenate(index_parts) if index_parts
-               else np.empty(0, dtype=np.int64))
+    converged = np.fromiter((r[4] for r in results), dtype=bool,
+                            count=hi - lo)
+    if shared.strict and not converged.all():
+        # Serial raises at the first failing column; report it so the
+        # parent can raise deterministically for the smallest j.
+        off = int(np.argmin(converged))
+        return ("error", lo + off, float(results[off][2]),
+                float(shared.col_sq[lo + off]))
+    iterations = np.fromiter((r[3] for r in results), dtype=np.int64,
+                             count=hi - lo)
+    data, indices, col_nnz = stack_columns(
+        [r[0] for r in results], [r[1] for r in results],
+        shared.gram.shape[0])
     # Worker-side metric deltas: a forked child cannot write into the
     # parent's registry, so counts travel back with the chunk result and
     # the parent merges them (repro.observability cross-process merge).
@@ -354,6 +347,7 @@ def parallel_batch_omp_matrix(d, a, eps: float, *,
         BatchOMPStats,
         blocked_column_squares,
         blocked_dta,
+        check_encode_args,
         is_dict_operator,
     )
 
@@ -374,6 +368,7 @@ def parallel_batch_omp_matrix(d, a, eps: float, *,
     if a.ndim != 2 or a.shape[0] != m:
         raise ValidationError(
             f"incompatible shapes: D({m}, {l}), A{a.shape}")
+    eps, max_atoms = check_encode_args(eps, max_atoms)
     n = a.shape[1]
     nworkers = resolve_workers(workers)
     # Resolve config/env to a concrete kernel up front so every fork

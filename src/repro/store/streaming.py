@@ -77,7 +77,10 @@ BLOCK_DIR = "blocks"
 # ENCODE_BLOCK_COLS width (see repro.linalg.omp), which changes the bits
 # of a matrix's final partial block — v1 checkpoints must not be mixed
 # with v2 blocks, so resuming one is refused.
-CHECKPOINT_FORMAT_VERSION = 2
+# v3: the numpy kernel solves its triangular systems by sequential
+# substitution instead of LAPACK; v2 blocks were encoded by the
+# LAPACK-order kernel, so resuming one would mix bits and is refused.
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Block width used when neither ``block_width`` nor a byte budget is
 #: given: four aligned compute panels per store read.

@@ -15,6 +15,10 @@ Each class pins one historical bug:
   divided by ``max(‖x‖, 1.0)``, silently turning the relative test
   absolute whenever ``‖x‖ < 1`` and stopping far too early on
   small-scale solutions.
+* ``TestEncodeArgumentValidation`` — the public Batch-OMP entry points
+  took any ``eps`` and ``max_atoms``: ``eps=-0.5`` squared into a 0.5
+  tolerance and reported every column converged, ``eps=nan`` returned
+  an all-zero C, and ``max_atoms=-3`` returned all-zero codes.
 """
 
 import numpy as np
@@ -226,3 +230,63 @@ class TestDictionaryGramCached:
         batch_omp_matrix(d, a, 0.5)
         assert GRAM_CACHE.misses == 1, \
             "encode recomputed a Gram the accessor already cached"
+
+
+class TestEncodeArgumentValidation:
+    @pytest.fixture()
+    def problem(self):
+        rng = np.random.default_rng(4)
+        d = rng.standard_normal((12, 20))
+        d /= np.linalg.norm(d, axis=0, keepdims=True)
+        return d, rng.standard_normal((12, 7))
+
+    @pytest.mark.parametrize("eps", [-0.5, float("nan"), float("inf"), 1.5])
+    def test_batch_omp_matrix_rejects_bad_eps(self, problem, eps):
+        from repro.errors import ValidationError
+        from repro.linalg import batch_omp_matrix
+
+        d, a = problem
+        with pytest.raises(ValidationError, match="eps"):
+            batch_omp_matrix(d, a, eps)
+
+    @pytest.mark.parametrize("eps", [-0.5, float("nan")])
+    def test_parallel_path_rejects_bad_eps(self, problem, eps):
+        from repro.errors import ValidationError
+        from repro.linalg import batch_omp_matrix, parallel_batch_omp_matrix
+
+        d, a = problem
+        with pytest.raises(ValidationError, match="eps"):
+            batch_omp_matrix(d, a, eps, workers=2)
+        with pytest.raises(ValidationError, match="eps"):
+            parallel_batch_omp_matrix(d, a, eps, workers=2)
+
+    @pytest.mark.parametrize("eps", [-0.5, float("nan")])
+    def test_batch_omp_solve_rejects_bad_eps(self, problem, eps):
+        from repro.errors import ValidationError
+        from repro.linalg import batch_omp_solve
+
+        d, a = problem
+        with pytest.raises(ValidationError, match="eps"):
+            batch_omp_solve(d, a[:, 0], eps)
+
+    @pytest.mark.parametrize("cap", [-3, 0, 2.5, "two"])
+    def test_rejects_bad_max_atoms(self, problem, cap):
+        from repro.errors import ValidationError
+        from repro.linalg import batch_omp_matrix, batch_omp_solve
+
+        d, a = problem
+        with pytest.raises(ValidationError, match="max_atoms"):
+            batch_omp_matrix(d, a, 0.1, max_atoms=cap)
+        with pytest.raises(ValidationError, match="max_atoms"):
+            batch_omp_solve(d, a[:, 0], 0.1, max_atoms=cap)
+
+    def test_valid_bounds_still_encode(self, problem):
+        from repro.linalg import batch_omp_matrix
+
+        d, a = problem
+        c0, s0 = batch_omp_matrix(d, a, 0.0, max_atoms=3)
+        assert s0.converged_columns < s0.columns      # eps=0 with a cap
+        assert np.all(np.diff(c0.indptr) == 3)
+        c1, s1 = batch_omp_matrix(d, a, 1.0)     # the zero code meets it
+        assert s1.converged_columns == s1.columns
+        assert np.all(np.diff(c1.indptr) <= 1)

@@ -3,8 +3,10 @@
 Every registered backend is held to the documented contract against the
 numpy reference (:mod:`repro.linalg.kernels.numpy_ref`):
 
-* **identical atom-selection sequences** on the golden cases, and
-* coefficients within ``COEF_RTOL`` / ``COEF_ATOL``.
+* **identical atom-selection sequences** on the golden cases,
+* coefficients within ``COEF_RTOL`` / ``COEF_ATOL``, and
+* **grouping invariance**: a column's bits do not depend on the other
+  columns of the call or on its width.
 
 Backends whose optional dependency is absent (numba in a bare
 environment) are skipped with the backend's own ``unavailable_reason``
@@ -257,6 +259,160 @@ class TestSelectionPrecedence:
         with pytest.raises(KernelError):
             register_backend(type("Bad", (OMPKernelBackend,),
                                   {"name": "auto"}))
+
+
+def _invariance_panel(n):
+    """``(gram, dta, col_sq)`` for ``n`` columns that mix every loop path.
+
+    Atoms 0-4 live on rows 0-5 and atoms 5-7 are exact copies of atoms
+    0-2; atoms 8-17 live on rows 6-17; rows 18-23 are orthogonal to every
+    atom.  Columns cycle through ten slots: 2-sparse in the second block
+    (done in about two steps), 3-sparse anywhere, a first-block signal
+    plus an orthogonal part (slot 6) and dense noise (slot 7) — both
+    stragglers that can never meet ε: they select all 15 independent
+    atoms and must ban the 3 copies before running out of atoms — and a
+    zero column (slot 9).
+    """
+    rng = np.random.default_rng(23)
+    m = 24
+    first = np.zeros((m, 5))
+    first[:6] = rng.standard_normal((6, 5))
+    second = np.zeros((m, 10))
+    second[6:18] = rng.standard_normal((12, 10))
+    d = np.concatenate([first, first[:, :3], second], axis=1)
+    d /= np.linalg.norm(d, axis=0, keepdims=True)
+    a = np.zeros((m, n))
+    for j in range(n):
+        slot = j % 10
+        if slot in (0, 2, 4, 8):
+            a[:, j] = d[:, rng.choice(np.arange(8, 18), 2, replace=False)] \
+                @ rng.standard_normal(2)
+        elif slot in (1, 3, 5):
+            a[:, j] = d[:, rng.choice(18, 3, replace=False)] \
+                @ rng.standard_normal(3)
+        elif slot == 6:
+            a[:6, j] = rng.standard_normal(6)
+            a[18:, j] = rng.standard_normal(6)
+        elif slot == 7:
+            a[:, j] = rng.standard_normal(m)
+    a[:18] += 1e-3 * rng.standard_normal((18, n)) * (np.arange(n) % 10 != 9)
+    return d.T @ d, d.T @ a, np.einsum("ij,ij->j", a, a)
+
+
+def _same_result(got, want, where):
+    gs, gc, gr, gi, gok = got
+    ws, wc, wr, wi, wok = want
+    gs, gc = np.asarray(gs), np.asarray(gc)
+    assert gs.dtype == np.int64 and gc.dtype == np.float64, where
+    np.testing.assert_array_equal(gs, ws, err_msg=where)
+    assert gc.tobytes() == np.asarray(wc).tobytes(), where
+    assert (gr, gi, bool(gok)) == (wr, wi, bool(wok)), where
+
+
+@pytest.mark.parametrize("name", registered_backend_names())
+class TestGroupingInvariance:
+    """A column's result depends only on ``(G, its DᵀA column, ‖a‖²)``:
+    not on its neighbours, the call's width or how many columns of the
+    call are still running.  Coefficients are compared byte for byte.
+    """
+
+    N = 300   # wider than one 256-column panel
+
+    @staticmethod
+    def _run(kernel, panel, order, cap):
+        gram, dta, col_sq = panel
+        order = np.asarray(order)
+        out = kernel.batch_omp_columns(gram, dta[:, order], col_sq[order],
+                                       0.05, cap)
+        return dict(zip(order.tolist(), out))
+
+    def _groupings(self):
+        from repro.linalg.kernels.numpy_ref import LOCKSTEP_MIN_COLS
+
+        cols = np.arange(self.N)
+        shuffled = np.random.default_rng(5).permutation(self.N)
+        return {
+            "alone": [[j] for j in cols],
+            "width 3": np.array_split(cols, self.N // 3),
+            f"width {LOCKSTEP_MIN_COLS - 1}":
+                [cols[i:i + LOCKSTEP_MIN_COLS - 1]
+                 for i in range(0, self.N, LOCKSTEP_MIN_COLS - 1)],
+            f"width {LOCKSTEP_MIN_COLS}":
+                [cols[i:i + LOCKSTEP_MIN_COLS]
+                 for i in range(0, self.N, LOCKSTEP_MIN_COLS)],
+            "reversed panel": [cols[::-1]],
+            "other neighbours": [shuffled[:97], shuffled[97:]],
+        }
+
+    @pytest.mark.parametrize("cap", [None, 4])
+    def test_every_grouping_gives_the_same_bits(self, name, cap):
+        kernel = _backend_or_skip(name)
+        panel = _invariance_panel(self.N)
+        want = self._run(kernel, panel, np.arange(self.N), cap)
+        iters = np.array([want[j][3] for j in range(self.N)])
+        sizes = np.array([np.asarray(want[j][0]).size for j in range(self.N)])
+        # The panel exercises what it claims to: zero columns, stragglers
+        # far behind the median column, unequal supports, and (with no
+        # cap) copies banned rather than selected; with the cap, it binds.
+        assert all(want[j][3] == 0 and want[j][4]
+                   for j in range(9, self.N, 10))
+        assert np.unique(sizes).size >= 3
+        for j in range(self.N):
+            chosen = set(np.asarray(want[j][0]).tolist())
+            assert not any({k, k + 5} <= chosen for k in range(3))
+        straggler = [j for j in range(self.N) if j % 10 in (6, 7)]
+        if cap is None:
+            assert iters.max() >= 3 * np.median(iters[iters > 0])
+            assert all(sizes[j] == 15 and not want[j][4] for j in straggler)
+        else:
+            assert all(iters[j] == cap and not want[j][4] for j in straggler)
+
+        for label, groups in self._groupings().items():
+            got = {}
+            for group in groups:
+                got.update(self._run(kernel, panel, group, cap))
+            for j in range(self.N):
+                _same_result(got[j], want[j], f"{name}, {label}, column {j}")
+
+    def test_numpy_factor_split_gives_the_same_bits(self, name, monkeypatch):
+        """A panel whose stacked Cholesky block outgrows its byte bound is
+        finished in halves; the halves must reproduce the whole."""
+        if name != "numpy":
+            pytest.skip("the factor bound is the numpy kernel's")
+        from repro.linalg.kernels import numpy_ref
+
+        kernel = _backend_or_skip(name)
+        panel = _invariance_panel(self.N)
+        want = self._run(kernel, panel, np.arange(self.N), None)
+        monkeypatch.setattr(numpy_ref, "FACTOR_BLOCK_BYTES", 4096)
+        got = self._run(kernel, panel, np.arange(self.N), None)
+        for j in range(self.N):
+            _same_result(got[j], want[j], f"split, column {j}")
+
+
+class TestLockstepOracle:
+    """The numpy lockstep loop reproduces the per-column loop bit for bit
+    when called directly — the backend routes narrow calls (most golden
+    cases) to the per-column loop itself."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01, 0.1, 0.5])
+    def test_matches_per_column_loop(self, eps):
+        from repro.linalg.kernels.numpy_ref import lockstep_columns
+
+        inputs = [(_panel_inputs(d, a), cap)
+                  for d, a, _, cap in _golden_cases()]
+        rng = np.random.default_rng(8)
+        d = rng.standard_normal((20, 30))
+        d /= np.linalg.norm(d, axis=0, keepdims=True)
+        a = rng.standard_normal((20, 70))
+        a[:, ::9] = 0.0
+        inputs += [(_panel_inputs(d, a), None), (_panel_inputs(d, a), 3),
+                   (_invariance_panel(40), None), (_invariance_panel(40), 4)]
+        for (gram, dta, col_sq), cap in inputs:
+            got = lockstep_columns(gram, dta, col_sq, eps, cap)
+            want = _reference_panel(gram, dta, col_sq, eps, cap)
+            for j, (g, w) in enumerate(zip(got, want)):
+                _same_result(g, w, f"eps={eps}, cap={cap}, column {j}")
 
 
 @pytest.mark.parametrize("name", registered_backend_names())

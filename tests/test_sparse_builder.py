@@ -79,3 +79,50 @@ class TestColumnBuilder:
         b.add_column([0], [1.0])
         b.add_column([1, 2], [1.0, 2.0])
         assert b.ncols == 2 and b.nnz == 3
+
+
+class TestAddColumns:
+    """The per-panel bulk append matches ``add_column`` column by column."""
+
+    def test_matches_per_column_appends(self):
+        rng = np.random.default_rng(0)
+        rows = [rng.choice(9, size=k, replace=False) for k in (3, 0, 1, 5, 0)]
+        values = [rng.standard_normal(r.size) for r in rows]
+        ref, bulk = ColumnBuilder(nrows=9), ColumnBuilder(nrows=9, capacity=1)
+        for b in (ref, bulk):
+            b.add_column([2], [7.0])
+        for r, v in zip(rows, values):
+            ref.add_column(r, v)
+        bulk.add_columns(rows, values)
+        a, b = ref.finalize(), bulk.finalize()
+        for attr in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+        assert b.shape == (9, 6)
+
+    def test_empty_panel(self):
+        b = ColumnBuilder(nrows=3)
+        b.add_columns([np.empty(0, dtype=np.int64)] * 2, [np.empty(0)] * 2)
+        assert b.ncols == 2 and b.nnz == 0
+
+    @pytest.mark.parametrize("rows, values, match", [
+        ([[0], [1, 1]], [[1.0], [1.0, 2.0]], "duplicate"),
+        ([[0], [4]], [[1.0], [1.0]], "out of range"),
+        ([[0], [-1]], [[1.0], [1.0]], "out of range"),
+        ([[0, 1]], [[1.0]], "equal-length"),
+        ([[0], [1]], [[1.0]], "equal-length"),
+    ])
+    def test_checks_reject_and_append_nothing(self, rows, values, match):
+        b = ColumnBuilder(nrows=4)
+        b.add_column([2], [3.0])
+        with pytest.raises(ValidationError, match=match):
+            b.add_columns([np.asarray(r) for r in rows],
+                          [np.asarray(v) for v in values])
+        assert b.ncols == 1 and b.nnz == 1
+
+    def test_same_row_in_different_columns_is_fine(self):
+        b = ColumnBuilder(nrows=4)
+        b.add_columns([np.array([1]), np.array([1, 0])],
+                      [np.array([1.0]), np.array([2.0, 3.0])])
+        c = b.finalize()
+        assert c.indices.tolist() == [1, 0, 1]
+        assert c.data.tolist() == [1.0, 3.0, 2.0]

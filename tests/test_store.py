@@ -398,6 +398,21 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="eps"):
             bad.run(resume=True)
 
+    @pytest.mark.parametrize("version", [2, 999])
+    def test_other_format_version_refused(self, store, tmp_path, version):
+        """v2 blocks were encoded by the LAPACK-order kernel, so resuming
+        one would mix bits; a newer version is just as foreign."""
+        from repro.store.streaming import CHECKPOINT_NAME
+
+        ck = tmp_path / "ck"
+        self._encoder(store, ck).run()
+        manifest = ck / CHECKPOINT_NAME
+        doc = json.loads(manifest.read_text())
+        doc["format_version"] = version
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="format_version"):
+            self._encoder(store, ck).run(resume=True)
+
     def test_store_change_refused(self, store, tmp_path, rng):
         ck = tmp_path / "ck"
         self._encoder(store, ck).run()
