@@ -29,7 +29,13 @@ from repro.core.cost_model import (
     dense_runtime_cost,
     dense_memory_per_node,
 )
-from repro.core.alpha import AlphaEstimate, measure_alpha, alpha_curve, estimate_alpha_from_subsets
+from repro.core.alpha import (
+    AlphaEstimate,
+    alpha_curve,
+    estimate_alpha_from_subsets,
+    measure_alpha,
+    measure_alpha_batch,
+)
 from repro.core.tuner import (
     FastTuningResult,
     TuningResult,
@@ -73,6 +79,7 @@ __all__ = [
     "dense_memory_per_node",
     "AlphaEstimate",
     "measure_alpha",
+    "measure_alpha_batch",
     "alpha_curve",
     "estimate_alpha_from_subsets",
     "TuningResult",

@@ -7,12 +7,14 @@ characterised from small nested subsets ``A₁ ⊂ A₂ ⊂ …`` instead of the
 full matrix (Figs. 4 and 6).
 
 All estimators accept a ``workers`` knob: the independent
-``(size, trial)`` ExD runs are farmed out to the fork pool of
-:mod:`repro.linalg.parallel_omp` (embarrassingly parallel), and when
-there is only a single run to perform the workers are spent inside it on
-the column-parallel encode instead.  Either way every trial keeps its
-serial seed derivation, so the reported α values are identical to the
-serial path.
+``(size, trial)`` ExD runs are farmed out with one
+:func:`~repro.linalg.parallel_omp.fork_map` (embarrassingly parallel),
+and when there is only a single run to perform the workers are spent
+inside it on the column-parallel encode instead.  Either way every trial
+keeps its serial seed derivation (:func:`trial_seeds`), so the reported
+α values are identical to the serial path.  :func:`measure_alpha_batch`
+runs several estimates — different subsets, sizes and seeds — as one
+such batch; the tuner measures all its candidates through it.
 """
 
 from __future__ import annotations
@@ -60,31 +62,43 @@ class AlphaEstimate:
         return float(np.mean(self.errors)) if self.errors else float("nan")
 
 
-def _alpha_task(shared, payload):
-    """One independent ExD trial (fork-pool worker body)."""
+def trial_seeds(seed, size: int, trials: int) -> list[int]:
+    """Dictionary seeds of the trials of ``measure_alpha(seed=seed)``.
+
+    Every estimator that must reproduce :func:`measure_alpha`'s draws —
+    the serial and the distributed tuner included — derives them here.
+    """
+    return [derive_seed(seed, t, size) for t in range(trials)]
+
+
+def _alpha_task(shared, payload, workers=None):
+    """One independent ExD trial (fork-map task body)."""
+    from repro.store.column_store import take_columns
+
     a, eps, compute_error = shared
-    size, seed = payload
-    transform, stats = exd_transform(a, size, eps, seed=seed)
-    err = transform.transformation_error(a) if compute_error else None
+    cols, size, seed = payload
+    sub = a if cols is None else take_columns(a, cols)
+    transform, stats = exd_transform(sub, size, eps, seed=seed,
+                                     workers=workers)
+    err = transform.transformation_error(sub) if compute_error else None
     return transform.alpha, err, stats.all_converged
 
 
 def _run_alpha_tasks(a, payloads, eps, *, compute_error, workers):
-    """Run ``(size, seed)`` ExD trials, parallel across trials.
+    """Run ``(columns, size, seed)`` ExD trials, parallel across trials.
 
-    With a single task the workers are redirected into the trial's own
-    column-parallel encode; results always come back in payload order.
+    A trial encodes ``a`` itself when ``columns`` is ``None`` and the
+    subset ``A[:, columns]`` otherwise, read by whichever process runs
+    the trial.  With a single task the workers are redirected into the
+    trial's own column-parallel encode; results always come back in
+    payload order.
     """
     nworkers = resolve_workers(workers)
     obs.inc("alpha.trials", len(payloads))
     with obs.span("alpha.trials"):
         if len(payloads) == 1 and nworkers > 1:
-            size, seed = payloads[0]
-            transform, stats = exd_transform(a, size, eps, seed=seed,
-                                             workers=workers)
-            err = (transform.transformation_error(a) if compute_error
-                   else None)
-            return [(transform.alpha, err, stats.all_converged)]
+            return [_alpha_task((a, eps, compute_error), payloads[0],
+                                workers=workers)]
         return fork_map(_alpha_task, payloads, (a, eps, compute_error),
                         nworkers)
 
@@ -97,6 +111,39 @@ def _collect(est: AlphaEstimate, results) -> AlphaEstimate:
         if not ok:
             est.feasible = False
     return est
+
+
+def measure_alpha_batch(a, plan, eps: float, *, trials: int = 1,
+                        compute_error: bool = False,
+                        workers: int | None = None) -> list[AlphaEstimate]:
+    """:func:`measure_alpha` for every ``(columns, size, seed)`` of ``plan``.
+
+    Entry ``k`` of the result equals ``measure_alpha(A_k, size, eps,
+    trials=trials, seed=seed, compute_error=compute_error)`` for entry
+    ``k`` of ``plan``, bit for bit, where ``A_k`` is ``a`` itself when
+    ``columns`` is ``None`` and ``A[:, columns]`` otherwise.  All
+    ``len(plan) × trials`` ExD runs are independent, so with ``workers``
+    they run as one trial-parallel batch — one fork per worker for the
+    whole plan instead of one map per entry.  Each trial reads its own
+    column subset, in the process that runs it, so the caller never
+    holds more than one subset at a time.
+    """
+    from repro.store.column_store import check_matrix_or_store
+
+    a = check_matrix_or_store(a, "A")
+    eps = check_fraction(eps, "eps", inclusive_low=True)
+    trials = check_positive_int(trials, "trials")
+    sizes, payloads = [], []
+    for cols, size, seed in plan:
+        size = check_positive_int(size, "size")
+        sizes.append(size)
+        payloads += [(cols, size, s) for s in trial_seeds(seed, size, trials)]
+    results = _run_alpha_tasks(a, payloads, eps,
+                               compute_error=compute_error,
+                               workers=workers)
+    return [_collect(AlphaEstimate(size=size),
+                     results[k * trials:(k + 1) * trials])
+            for k, size in enumerate(sizes)]
 
 
 def measure_alpha(a, size: int, eps: float, *, trials: int = 1,
@@ -112,17 +159,9 @@ def measure_alpha(a, size: int, eps: float, *, trials: int = 1,
     streams the encode and the α values match the in-memory ones
     bit-for-bit.
     """
-    from repro.store.column_store import check_matrix_or_store
-
-    a = check_matrix_or_store(a, "A")
-    size = check_positive_int(size, "size")
-    eps = check_fraction(eps, "eps", inclusive_low=True)
-    trials = check_positive_int(trials, "trials")
-    payloads = [(size, derive_seed(seed, t, size)) for t in range(trials)]
-    results = _run_alpha_tasks(a, payloads, eps,
+    return measure_alpha_batch(a, [(None, size, seed)], eps, trials=trials,
                                compute_error=compute_error,
-                               workers=workers)
-    return _collect(AlphaEstimate(size=size), results)
+                               workers=workers)[0]
 
 
 def alpha_curve(a, sizes, eps: float, *, trials: int = 1, seed=None,
@@ -133,23 +172,9 @@ def alpha_curve(a, sizes, eps: float, *, trials: int = 1, seed=None,
     The ``len(sizes) × trials`` ExD runs are independent and are
     parallelised jointly when ``workers`` is set.
     """
-    from repro.store.column_store import check_matrix_or_store
-
-    a = check_matrix_or_store(a, "A")
-    eps = check_fraction(eps, "eps", inclusive_low=True)
-    trials = check_positive_int(trials, "trials")
-    sizes = [check_positive_int(s, "size") for s in sizes]
-    payloads = [(s, derive_seed(seed, t, s))
-                for s in sizes for t in range(trials)]
-    results = _run_alpha_tasks(a, payloads, eps,
-                               compute_error=compute_error,
+    return measure_alpha_batch(a, [(None, s, seed) for s in sizes], eps,
+                               trials=trials, compute_error=compute_error,
                                workers=workers)
-    out = []
-    for i, s in enumerate(sizes):
-        est = AlphaEstimate(size=s)
-        _collect(est, results[i * trials:(i + 1) * trials])
-        out.append(est)
-    return out
 
 
 @dataclass
@@ -242,7 +267,7 @@ def estimate_alpha_from_subsets(a, sizes, eps: float, *,
     for n_s in plan:
         sub = take_columns(a, order[:n_s])
         # Seeds replicate the serial nesting measure_alpha would use.
-        payloads = [(l, derive_seed(derive_seed(seed, n_s, l), t, l))
+        payloads = [(None, l, derive_seed(derive_seed(seed, n_s, l), t, l))
                     for l in sizes for t in range(trials)]
         results = _run_alpha_tasks(sub, payloads, eps,
                                    compute_error=False, workers=workers)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import observability as obs
-from repro.core.alpha import measure_alpha
+from repro.core.alpha import measure_alpha, measure_alpha_batch, trial_seeds
 from repro.core.cost_model import CostModel
 from repro.errors import TuningError
 from repro.linalg.kernels import use_backend
@@ -71,6 +71,24 @@ def default_candidates(m: int, n: int, l_min: int) -> list[int]:
         l = max(l + 1, int(round(l * 1.6)))
     sizes.append(upper)
     return sorted(set(sizes))
+
+
+def _candidate_plan(candidates, n_sub: int, n: int, seed) -> list:
+    """``(L, n_eff, seed)`` for every candidate the tuner can evaluate.
+
+    Candidate ``L`` is α-estimated on the subset ``order[:n_eff]`` with
+    ``n_eff = min(max(n_sub, 2L), N)`` — a candidate larger than the
+    subset would sample every subset column — and with the dictionaries
+    of ``measure_alpha(..., seed=derive_seed(seed, 2, L))``; candidates
+    larger than the data are skipped.  The serial and the distributed
+    tuner both run this plan, so they draw the same dictionaries.
+    """
+    plan = []
+    for l in candidates:
+        n_eff = min(max(n_sub, 2 * l), n)
+        if l <= n_eff:
+            plan.append((l, n_eff, derive_seed(seed, 2, l)))
+    return plan
 
 
 def find_min_feasible_size(a, eps: float, *, seed=None,
@@ -163,8 +181,10 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
     subset_fraction:
         Fraction of columns used for α estimation.
     workers:
-        Worker count for the α estimations (trial-/column-parallel);
-        the tuned L* is identical to the serial run.
+        Worker count for the α estimations: the feasibility probes are
+        column-parallel, and all candidates' trials run as one
+        trial-parallel batch; the table and L* are identical to the
+        serial run.
     backend:
         OMP kernel backend for every α-estimation encode (see
         :mod:`repro.linalg.kernels`).  ``None`` keeps the process
@@ -175,7 +195,7 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
     TuningError
         When no candidate is feasible at the requested ε.
     """
-    from repro.store.column_store import check_matrix_or_store, take_columns
+    from repro.store.column_store import check_matrix_or_store
 
     a = check_matrix_or_store(a, "A")
     eps = check_fraction(eps, "eps", inclusive_low=True)
@@ -193,25 +213,19 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
         candidates = sorted({check_positive_int(c, "candidate")
                              for c in candidates})
 
+        plan = _candidate_plan(candidates, n_sub, n, seed)
+        estimates = measure_alpha_batch(
+            a, [(order[:n_eff], l, cseed) for l, n_eff, cseed in plan], eps,
+            trials=trials, workers=workers)
+        columns_read = max((n_eff for _, n_eff, _ in plan), default=0)
         table = []
-        columns_read = 0
-        for l in candidates:
-            # A candidate larger than the subset would sample every
-            # subset column; use a subset at least twice the candidate
-            # size.
-            n_eff = min(max(n_sub, 2 * l), n)
-            if l > n_eff:
-                continue
-            columns_read = max(columns_read, n_eff)
-            sub = take_columns(a, order[:n_eff])
-            est = measure_alpha(sub, l, eps, trials=trials,
-                                seed=derive_seed(seed, 2, l),
-                                workers=workers)
+        for est in estimates:
             if not est.feasible:
                 continue
             predicted_nnz = est.mean * n
-            cost = cost_model.objective(objective, m, l, predicted_nnz, n)
-            table.append((l, est.mean, predicted_nnz, cost))
+            cost = cost_model.objective(objective, m, est.size,
+                                        predicted_nnz, n)
+            table.append((est.size, est.mean, predicted_nnz, cost))
     obs.inc("tuner.candidates_evaluated", len(candidates))
     obs.inc("tuner.candidates_feasible", len(table))
     if not table:
@@ -311,45 +325,34 @@ def tune_fast_dictionary(a, eps: float, cost_model: CostModel, *,
                             subset_columns=base.subset_columns)
 
 
-def _tuning_program(comm, a, eps, objective, candidates, n_sub, order,
-                    trials, seed, cost_kind_args):
-    """Rank program: candidates partitioned across ranks (Sec. VII on
-    the cluster, embarrassingly parallel), results allgathered."""
+def _tuning_program(comm, a, eps, plan, order, trials, cost_kind_args):
+    """Rank program: the candidate plan partitioned across ranks (Sec. VII
+    on the cluster, embarrassingly parallel), results allgathered."""
     from repro.core.exd import exd_transform
     from repro.store.column_store import take_columns
 
     rank, p = comm.Get_rank(), comm.Get_size()
     n = a.shape[1]
-    mine = [c for i, c in enumerate(candidates) if i % p == rank]
     local_rows = []
-    local_read = 0
-    for l in mine:
-        n_eff = min(max(n_sub, 2 * l), n)
-        if l > n_eff:
-            continue
-        local_read = max(local_read, n_eff)
+    for l, n_eff, cseed in plan[rank::p]:
         sub = take_columns(a, order[:n_eff])
         alphas = []
         feasible = True
-        for t in range(trials):
-            transform, stats = exd_transform(
-                sub, l, eps, seed=derive_seed(seed, 2, l, t))
+        for tseed in trial_seeds(cseed, l, trials):
+            transform, stats = exd_transform(sub, l, eps, seed=tseed)
             comm.charge_flops(stats.flops)
             alphas.append(transform.alpha)
             feasible = feasible and stats.all_converged
         if feasible:
             local_rows.append((l, float(np.mean(alphas))))
-    everyone = comm.allgather((local_rows, local_read))
-    rows = sorted(r for part, _ in everyone for r in part)
-    columns_read = max(read for _, read in everyone)
+    everyone = comm.allgather(local_rows)
+    rows = sorted(r for part in everyone for r in part)
     if comm.Get_rank() != 0:
         return None
     m = a.shape[0]
     kind, model = cost_kind_args
-    table = [(l, alpha, alpha * n,
-              model.objective(kind, m, l, alpha * n, n))
-             for l, alpha in rows]
-    return table, columns_read
+    return [(l, alpha, alpha * n, model.objective(kind, m, l, alpha * n, n))
+            for l, alpha in rows]
 
 
 def tune_dictionary_size_distributed(a, eps: float, cost_model: CostModel,
@@ -385,12 +388,13 @@ def tune_dictionary_size_distributed(a, eps: float, cost_model: CostModel,
         candidates = default_candidates(m, n, l_min)
     candidates = sorted({check_positive_int(c, "candidate")
                          for c in candidates})
+    plan = _candidate_plan(candidates, n_sub, n, seed)
     with obs.span("tuner.tune_distributed"):
-        result = run_spmd(0, _tuning_program, a, eps, objective, candidates,
-                          n_sub, order, trials, seed,
+        result = run_spmd(0, _tuning_program, a, eps, plan, order, trials,
                           (objective, cost_model),
                           cluster=cost_model.cluster, backend=backend)
-    table, columns_read = result.returns[0]
+    table = result.returns[0]
+    columns_read = max((n_eff for _, n_eff, _ in plan), default=0)
     obs.inc("tuner.candidates_evaluated", len(candidates))
     obs.inc("tuner.candidates_feasible", len(table))
     if not table:

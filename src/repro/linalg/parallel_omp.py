@@ -6,25 +6,33 @@ columns — the paper distributes exactly this step across ranks, and
 RankMap / Mensch et al. report near-linear scaling for column-wise
 sparse coding.  This module provides the single-host analogue:
 
-* :func:`parallel_batch_omp_matrix` — a worker-pool chunked column
-  scheduler over the Batch-OMP kernel.  The parent computes ``G = DᵀD``
-  and ``DᵀA`` once (one BLAS-3 product each); workers inherit them via
-  fork-time copy-on-write pages, so nothing heavy is pickled.  Chunks
-  are merged **in column order**, which makes the CSC output and the
+* :func:`fork_map` — the deterministic fork map everything here is
+  built on, also used by the trial-parallel α estimators (the tuner's
+  whole candidate sweep is one map) and the dense baselines.  The
+  caller runs one interleaved share of the payloads itself and forks
+  one daemonic worker per other share; workers inherit the function,
+  the shared state and the payloads at fork time (copy-on-write,
+  nothing is pickled on the way in) and send their results back in one
+  pipe message each, together with the counters, histograms and spans
+  they recorded.  Results come back in payload order, and a failing
+  task raises in the caller exactly as a serial loop would.
+* :func:`parallel_batch_omp_matrix` — a chunked column scheduler over
+  the Batch-OMP kernel.  The parent computes ``G = DᵀD`` and ``DᵀA``
+  once; the chunks are mapped with :func:`fork_map` and merged **in
+  column order**, which makes the CSC output and the
   :class:`~repro.linalg.omp.BatchOMPStats` bit-identical to the serial
   path for every worker count and chunk size.
 * :class:`GramCache` / :func:`cached_gram` — a process-wide LRU cache of
   ``DᵀD`` keyed on dictionary identity, so tuner trials (and evolving
   updates) that reuse a dictionary stop recomputing the Gram matrix.
-* :func:`fork_map` — the generic deterministic fork-pool map the engine
-  is built on, reused by the trial-parallel α estimators and the dense
-  baselines.
 
-Workers are plain ``fork`` processes.  When forking is unsafe or
-unavailable — non-fork platforms, daemonic workers (no nested pools), or
-a multi-threaded parent such as the MPI emulator's rank threads — the
-engine degrades to in-process chunked execution, which returns the very
-same bits; ``workers`` is therefore always safe to pass.
+Workers are plain ``fork`` processes, forked per map (a fork costs a few
+milliseconds; the α estimators batch their trials so one map covers a
+whole sweep).  When forking is unsafe or unavailable — non-fork
+platforms, a daemonic process such as a ``fork_map`` worker (no nested
+forks), or a multi-threaded parent such as the MPI emulator's rank
+threads — the map degrades to an in-process loop, which returns the
+very same results; ``workers`` is therefore always safe to pass.
 """
 
 from __future__ import annotations
@@ -180,20 +188,13 @@ def cached_gram(d: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Generic deterministic fork-pool map
+# Generic deterministic fork map
 # ----------------------------------------------------------------------
-# Workers read the payload-independent state from this module global,
-# which they inherit at fork time (copy-on-write; nothing is pickled).
-_FORK_SHARED = None
-# Guards the set-global -> fork window against concurrent fork_map calls.
-_FORK_LOCK = threading.Lock()
-
-
 def _can_fork() -> bool:
     if "fork" not in multiprocessing.get_all_start_methods():
         return False
     if multiprocessing.current_process().daemon:
-        return False  # pool workers cannot spawn nested pools
+        return False  # fork_map workers are daemonic: no nested forks
     # fork() from a multi-threaded parent (e.g. the MPI emulator's rank
     # threads) can deadlock the child on locks held by other threads.
     if threading.active_count() > 1:
@@ -201,22 +202,17 @@ def _can_fork() -> bool:
     return True
 
 
-def _fork_invoke(task):
-    fn, payload = task
-    return fn(_FORK_SHARED, payload)
-
-
 def _pinned_backend_name() -> str | None:
     """The concrete kernel name the parent resolves *right now*.
 
-    Fork workers snapshot env/config at fork time, but the in-process
-    fallback runs task-by-task in the parent — if something mutates
-    ``REPRO_OMP_BACKEND`` mid-map, later tasks would silently resolve a
-    different kernel than earlier ones (and than the fork path).  Both
-    paths therefore run under one backend pinned here, before the first
-    task.  An unresolvable default (env naming an unknown/unavailable
-    backend) is left unpinned so the task itself raises the usual
-    KernelError instead of the map call.
+    Fork workers snapshot env/config at fork time, but the parent's own
+    share (and the in-process fallback) runs task-by-task in the parent —
+    if something mutates ``REPRO_OMP_BACKEND`` mid-map, later tasks would
+    silently resolve a different kernel than earlier ones (and than the
+    workers).  Every task therefore runs under one backend pinned here,
+    before the first task.  An unresolvable default (env naming an
+    unknown/unavailable backend) is left unpinned so the task itself
+    raises the usual KernelError instead of the map call.
     """
     from repro.errors import KernelError
     from repro.linalg.kernels import resolve_backend
@@ -227,41 +223,125 @@ def _pinned_backend_name() -> str | None:
         return None
 
 
+def _run_share(fn, shared, payloads, share):
+    """Run ``fn`` over the payload indices ``share``, in order.
+
+    Returns ``(results, failure)``; like the serial loop, the share stops
+    at its first exception, reported as ``(index, exception)``.
+    """
+    results = []
+    for i in share:
+        try:
+            results.append(fn(shared, payloads[i]))
+        except Exception as exc:  # noqa: BLE001 - re-raised by the parent
+            return results, (i, exc)
+    return results, None
+
+
+def _fork_worker(conn, fn, shared, payloads, share, observed) -> None:
+    """Body of one forked worker: run its share, send one message."""
+    if observed:
+        # The tables are this process's private copy from the fork; empty
+        # them so what the parent merges is this share's telemetry alone.
+        obs.REGISTRY.reset()
+        obs.SPANS.reset()
+    results, failure = _run_share(fn, shared, payloads, share)
+    if failure is not None:
+        from repro.mpi.process_world import _portable_exc
+
+        failure = (failure[0], _portable_exc(failure[1]))
+    telemetry = (obs.REGISTRY.snapshot(), obs.SPANS.snapshot()) \
+        if observed else None
+    # A result that cannot be pickled fails here, before anything is
+    # written: the worker exits without a message and the parent raises.
+    conn.send((results, failure, telemetry))
+    conn.close()
+
+
+def _fork_run(fn, payloads, shared, workers: int) -> list:
+    """The forked half of :func:`fork_map` (see there)."""
+    ctx = multiprocessing.get_context("fork")
+    observed = obs.enabled()
+    shares = [range(k, len(payloads), workers) for k in range(workers)]
+    children = []
+    finished = False
+    try:
+        for share in shares[1:]:
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_fork_worker,
+                               args=(send_end, fn, shared, payloads, share,
+                                     observed),
+                               name="repro-fork-map", daemon=True)
+            children.append((proc, recv_end))
+            proc.start()
+            # Only the child may hold the write end, so its death reads
+            # as EOF here instead of a hang.
+            send_end.close()
+        outcomes = [_run_share(fn, shared, payloads, shares[0])]
+        for proc, conn in children:
+            try:
+                results, failure, telemetry = conn.recv()
+            except (EOFError, OSError):
+                proc.join()
+                raise RuntimeError(
+                    f"fork_map worker {proc.pid} exited with code "
+                    f"{proc.exitcode} without returning its results") \
+                    from None
+            if telemetry is not None:
+                metrics, spans = telemetry
+                obs.REGISTRY.merge(metrics)
+                obs.SPANS.merge(spans)
+            outcomes.append((results, failure))
+        finished = True
+    finally:
+        for proc, conn in children:
+            conn.close()
+            if proc.pid is None:
+                continue  # never started
+            if not finished:
+                proc.kill()
+            proc.join()
+            proc.close()
+    failures = [f for _, f in outcomes if f is not None]
+    if failures:
+        # The serial loop would have raised at the lowest failing index.
+        raise min(failures, key=lambda f: f[0])[1]
+    out = [None] * len(payloads)
+    for share, (results, _) in zip(shares, outcomes):
+        for i, result in zip(share, results):
+            out[i] = result
+    return out
+
+
 def fork_map(fn, payloads, shared, workers: int) -> list:
     """Map ``fn(shared, payload)`` over ``payloads``, in payload order.
 
-    ``fn`` must be a module-level function (pickled by reference);
-    ``shared`` is handed to workers through fork-time inheritance and is
-    never pickled.  Falls back to an in-process loop — same results,
-    same order — whenever forking is unsafe (see :func:`_can_fork`).
-    The kernel backend the parent resolves at entry is pinned for the
-    whole map on both paths (see :func:`_pinned_backend_name`).
+    With ``k = min(workers, len(payloads))`` above one, payload ``i``
+    goes to share ``i % k``: the calling process runs share 0 itself and
+    ``k − 1`` forked daemonic workers run the others.  ``fn``, ``shared``
+    and the payloads reach the workers through fork-time inheritance
+    (copy-on-write; nothing is pickled on the way in), and each worker
+    sends its results back in one pipe message.  A task's exception is
+    re-raised in the caller — the one with the lowest payload index,
+    which is the one a serial loop would raise — and a worker that dies
+    without answering raises :class:`RuntimeError`; every worker is
+    reaped on every path.  Counters, histograms and spans the workers
+    record are merged into the caller's observability tables.
+
+    Falls back to an in-process loop — same results, same order —
+    whenever forking is unsafe (see :func:`_can_fork`), so nested maps
+    inside a worker run in-process.  The kernel backend the caller
+    resolves at entry is pinned for the whole map, in the caller's share
+    and inherited by every worker (see :func:`_pinned_backend_name`).
     """
     from repro.linalg.kernels import use_backend
 
     payloads = list(payloads)
     workers = min(int(workers), len(payloads))
-    pinned = _pinned_backend_name()
-    if workers <= 1 or not _can_fork():
-        with use_backend(pinned):
+    with use_backend(_pinned_backend_name()):
+        if workers <= 1 or not _can_fork():
             return [fn(shared, p) for p in payloads]
-    global _FORK_SHARED
-    ctx = multiprocessing.get_context("fork")
-    with _FORK_LOCK:
-        _FORK_SHARED = shared
-        try:
-            # Workers fork while the pinned default is installed and
-            # inherit it for their whole lifetime.
-            with use_backend(pinned):
-                pool = ctx.Pool(processes=workers)
-        finally:
-            _FORK_SHARED = None
-    try:
-        return pool.map(_fork_invoke, [(fn, p) for p in payloads],
-                        chunksize=1)
-    finally:
-        pool.close()
-        pool.join()
+        return _fork_run(fn, payloads, shared, workers)
 
 
 # ----------------------------------------------------------------------
@@ -310,14 +390,7 @@ def _encode_chunk(shared: _EncodeShared, bounds: tuple[int, int]):
     data, indices, col_nnz = stack_columns(
         [r[0] for r in results], [r[1] for r in results],
         shared.gram.shape[0])
-    # Worker-side metric deltas: a forked child cannot write into the
-    # parent's registry, so counts travel back with the chunk result and
-    # the parent merges them (repro.observability cross-process merge).
-    metric_deltas = {"omp.columns_encoded": hi - lo,
-                     "omp.converged_columns": int(converged.sum()),
-                     "omp.iterations": int(iterations.sum())}
-    return ("ok", data, indices, col_nnz, iterations, converged,
-            metric_deltas)
+    return ("ok", data, indices, col_nnz, iterations, converged)
 
 
 def default_chunk_size(n: int, workers: int) -> int:
@@ -332,7 +405,7 @@ def parallel_batch_omp_matrix(d, a, eps: float, *,
                               workers: int | None = None,
                               chunk_size: int | None = None,
                               backend=None):
-    """Sparse-code every column of ``a`` with a chunked worker pool.
+    """Sparse-code every column of ``a`` in column chunks over workers.
 
     Drop-in replacement for the serial ``batch_omp_matrix`` loop: the
     returned ``(CSCMatrix, BatchOMPStats)`` pair is bit-identical to the
@@ -427,12 +500,12 @@ def parallel_batch_omp_matrix(d, a, eps: float, *,
                           converged_columns=int(converged.sum()),
                           total_iterations=total_iters, flops=int(flops),
                           converged_mask=converged)
-    for p in parts:
-        obs.merge_counters(p[6])
-    obs.merge_counters({"omp.flops": stats.flops})
-    # Parent-side atom-usage recording: the merged CSC already contains
-    # every worker's selections in column order, so recording here IS
-    # the cross-worker counter merge (same pattern as metric_deltas).
+    # Counters and atom usage are recorded once, in the caller, from the
+    # merged result — the same numbers the serial path records.
+    obs.merge_counters({"omp.columns_encoded": stats.columns,
+                        "omp.converged_columns": stats.converged_columns,
+                        "omp.iterations": total_iters,
+                        "omp.flops": stats.flops})
     record_encode(op if op is not None else d, c)
     return c, stats
 

@@ -19,7 +19,8 @@ Metric-name conventions (dotted, subsystem-first):
 =====================  ==============================================
 ``omp.*``              Batch-OMP encode (columns, iterations, flops)
 ``gram_cache.*``       process-wide ``DᵀD`` cache hits/misses
-``pool.*``             fork-pool scheduling (chunks, workers)
+``pool.*``             column-parallel encode scheduling (chunks,
+                       workers)
 ``alpha.*``            α(L) estimation trials
 ``tuner.*``            Sec. VII tuner probes and candidates
 ``solver.*``           distributed regression solvers
@@ -37,7 +38,8 @@ Metric-name conventions (dotted, subsystem-first):
                        built/published)
 =====================  ==============================================
 
-Span paths nest with ``/`` per thread (``extdict.fit/extdict.tune``).
+Span paths nest with ``/`` per thread and per asyncio task
+(``extdict.fit/extdict.tune``).
 """
 
 from __future__ import annotations

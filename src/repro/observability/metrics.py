@@ -4,8 +4,9 @@ Metric names are dotted strings grouped by subsystem, e.g.
 ``omp.columns_encoded``, ``gram_cache.hits``, ``pool.chunks``,
 ``mpi.collective.words``.  The registry is thread-safe (the MPI
 emulator runs rank programs on threads of one process) and mergeable
-(the fork-pool encode workers return counter deltas that the parent
-folds back in — see :func:`repro.linalg.parallel_omp._encode_chunk`).
+(``fork_map`` workers send their counters and histograms back to the
+parent, which folds them in with :meth:`MetricsRegistry.merge`; SPMD
+rank processes send counter deltas, see :func:`merge_counters`).
 
 Instrumented call sites go through the module-level helpers
 (:func:`inc`, :func:`set_gauge`, :func:`observe`), which are no-ops
@@ -73,13 +74,33 @@ class MetricsRegistry:
     def merge_counters(self, deltas: dict) -> None:
         """Fold a ``{name: value}`` counter delta into the registry.
 
-        This is the cross-process merge point: fork-pool workers cannot
+        This is the cross-process merge point: forked workers cannot
         write into the parent's registry, so they return their counts
         and the parent merges them here.
         """
         with self._lock:
             for name, value in deltas.items():
                 self._counters[name] = self._counters.get(name, 0) + value
+
+    def merge(self, snapshot: dict) -> None:
+        """Fold another registry's :meth:`snapshot` into this one.
+
+        Counters add; histogram counts and sums add while minima and
+        maxima combine.  Gauges are left alone (last write wins, and the
+        merging process's own writes are the later ones).
+        """
+        self.merge_counters(snapshot["counters"])
+        with self._lock:
+            for name, o in snapshot["histograms"].items():
+                h = self._histograms.get(name)
+                if h is None:
+                    self._histograms[name] = [o["count"], o["total"],
+                                              o["min"], o["max"]]
+                else:
+                    h[0] += o["count"]
+                    h[1] += o["total"]
+                    h[2] = min(h[2], o["min"])
+                    h[3] = max(h[3], o["max"])
 
     # -- readers -------------------------------------------------------
     def counter(self, name: str, default: float = 0) -> float:

@@ -5,25 +5,29 @@ A span is a named timed region::
     with span("exd.transform"):
         ...
 
-Spans nest: a span opened while another is active on the same thread is
-recorded under the parent's path, joined with ``/`` (e.g.
-``exd.transform/omp.encode``).  The nesting stack is thread-local — the
-MPI emulator's rank threads each get their own stack, so a span opened
-inside a rank program starts a fresh root path for that thread — while
-the aggregated table is global and lock-protected, so all threads fold
-into one report.
+Spans nest: a span opened while another is active in the same context
+is recorded under the parent's path, joined with ``/`` (e.g.
+``exd.transform/omp.encode``).  The current path lives in a
+:class:`contextvars.ContextVar`, so every thread *and* every asyncio
+task has its own nesting — the MPI emulator's rank threads start fresh
+root paths, and concurrent requests on the serve daemon's event loop
+never nest inside each other's spans — while the aggregated table is
+global and lock-protected, so all threads fold into one report.  A
+forked process inherits the path open at the fork, and
+:meth:`SpanRecorder.merge` folds a child's table back into its parent's.
 
 When observability is disabled :func:`span` returns a shared no-op
 context manager: the disabled cost is one flag check plus an attribute
 load, no allocation, no clock read.
 
 Exceptions unwind cleanly: a span exited by an exception still records
-its duration, increments its ``errors`` count, and pops the stack, so
-the parent's path is intact for subsequent spans.
+its duration, increments its ``errors`` count, and restores the
+enclosing path, so later spans nest where they should.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 
@@ -40,44 +44,51 @@ class SpanRecorder:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._local = threading.local()
+        self._current: contextvars.ContextVar[str] = \
+            contextvars.ContextVar("repro_span_path", default="")
         # path -> [count, total_s, min_s, max_s, errors]
         self._table: dict[str, list[float]] = {}
 
-    # -- per-thread stack ----------------------------------------------
-    def _stack(self) -> list[str]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def current_path(self) -> str:
-        """Path of the innermost active span on this thread ('' if none)."""
-        stack = self._stack()
-        return stack[-1] if stack else ""
+        """Path of the innermost active span in this context ('' if none)."""
+        return self._current.get()
 
     # -- recording -----------------------------------------------------
-    def push(self, name: str) -> str:
-        stack = self._stack()
-        path = stack[-1] + PATH_SEP + name if stack else name
-        stack.append(path)
-        return path
+    def push(self, name: str) -> tuple[str, contextvars.Token]:
+        """Enter span ``name``; returns its path and the reset token."""
+        parent = self._current.get()
+        path = parent + PATH_SEP + name if parent else name
+        return path, self._current.set(path)
 
-    def pop(self, path: str, duration: float, failed: bool) -> None:
-        stack = self._stack()
-        if stack and stack[-1] == path:
-            stack.pop()
+    def pop(self, path: str, token: contextvars.Token, duration: float,
+            failed: bool) -> None:
+        """Leave the span ``push`` returned ``(path, token)`` for."""
+        self._current.reset(token)
+        self._add(path, 1, duration, duration, duration,
+                  1 if failed else 0)
+
+    def _add(self, path: str, count: int, total: float, lo: float,
+             hi: float, errors: int) -> None:
         with self._lock:
             entry = self._table.get(path)
             if entry is None:
-                self._table[path] = [1, duration, duration, duration,
-                                     1 if failed else 0]
+                self._table[path] = [count, total, lo, hi, errors]
             else:
-                entry[0] += 1
-                entry[1] += duration
-                entry[2] = min(entry[2], duration)
-                entry[3] = max(entry[3], duration)
-                entry[4] += 1 if failed else 0
+                entry[0] += count
+                entry[1] += total
+                entry[2] = min(entry[2], lo)
+                entry[3] = max(entry[3], hi)
+                entry[4] += errors
+
+    def merge(self, spans: dict) -> None:
+        """Fold another recorder's :meth:`snapshot` into this table.
+
+        Counts, totals and errors add; minima and maxima combine.  This
+        is how spans recorded in a forked worker reach the parent.
+        """
+        for path, e in spans.items():
+            self._add(path, e["count"], e["total_s"], e["min_s"],
+                      e["max_s"], e["errors"])
 
     # -- readers -------------------------------------------------------
     def snapshot(self) -> dict:
@@ -95,7 +106,7 @@ class SpanRecorder:
             }
 
     def reset(self) -> None:
-        """Drop the aggregated table (active stacks are untouched)."""
+        """Drop the aggregated table (active span paths are untouched)."""
         with self._lock:
             self._table.clear()
 
@@ -107,18 +118,18 @@ SPANS = SpanRecorder()
 class _Span:
     """Context manager for one live span (enabled path)."""
 
-    __slots__ = ("name", "_path", "_t0")
+    __slots__ = ("name", "_path", "_token", "_t0")
 
     def __init__(self, name: str) -> None:
         self.name = name
 
     def __enter__(self) -> "_Span":
-        self._path = SPANS.push(self.name)
+        self._path, self._token = SPANS.push(self.name)
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        SPANS.pop(self._path, time.perf_counter() - self._t0,
+        SPANS.pop(self._path, self._token, time.perf_counter() - self._t0,
                   failed=exc_type is not None)
         return False
 
@@ -146,5 +157,5 @@ def span(name: str):
 
 
 def current_span_path() -> str:
-    """The calling thread's innermost active span path ('' when none)."""
+    """The caller's innermost active span path ('' when none)."""
     return SPANS.current_path()

@@ -1,14 +1,14 @@
 """Per-atom usage statistics fed by the encoder's atom selections.
 
 Every encode path in the repo funnels through ``batch_omp_matrix`` (the
-serial loop, the fork-pool parallel engine, ``encode_columns`` behind
+serial loop, the column-parallel engine, ``encode_columns`` behind
 the serving micro-batcher, and the ``StreamingEncoder``'s per-block
 calls).  The two engines call :func:`record_encode` exactly once per
 encode with the dictionary object they were handed plus the finished
 CSC coefficients — at that point the parallel engine has already merged
 its workers' chunks in column order, so recording there *is* the
-cross-worker counter merge, the same way worker metric deltas merge
-into the parent's registry.
+cross-worker merge, the same way it records the encode's ``omp.*``
+counters.
 
 Recording is opt-in per dictionary: :func:`watch_dictionary` attaches an
 :class:`AtomStats` accumulator to a dictionary object (keyed on object

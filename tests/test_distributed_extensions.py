@@ -79,6 +79,10 @@ class TestDistributedTuning:
             data, 0.1, model, seed=0, candidates=[40, 80, 160])
         assert dist.best_size == serial.best_size
         assert [r[0] for r in dist.table] == [r[0] for r in serial.table]
+        # Same dictionaries drawn per candidate and trial, so the same
+        # α, predicted nnz and cost on every row.
+        assert dist.table == serial.table
+        assert dist.subset_columns == serial.subset_columns
         assert spmd.simulated_time > 0
 
     def test_infeasible_raises(self, rng, small_cluster):

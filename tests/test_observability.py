@@ -2,11 +2,12 @@
 
 Covers the acceptance surface of the observability PR: registry
 thread-safety under the MPI emulator's rank threads, span nesting and
-exception unwinding, the fork-pool worker stat merge in
-``parallel_batch_omp_matrix``, and a golden-file check of the RunReport
-JSON schema.
+exception unwinding (per thread and per asyncio task), the merge of
+``fork_map`` workers' counters and spans into the parent, and a
+golden-file check of the RunReport JSON schema.
 """
 
+import asyncio
 import json
 import os
 
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro import observability as obs
+from repro.core.alpha import measure_alpha
 from repro.linalg.omp import batch_omp_matrix
-from repro.linalg.parallel_omp import GRAM_CACHE
+from repro.linalg.parallel_omp import GRAM_CACHE, _can_fork
 from repro.mpi import run_spmd
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
@@ -58,6 +60,23 @@ class TestRegistry:
         r.merge_counters({"x": 3, "y": 7})
         assert r.counter("x") == 5
         assert r.counter("y") == 7
+
+    def test_merge_snapshot_adds_counters_and_combines_histograms(self):
+        r, other = obs.MetricsRegistry(), obs.MetricsRegistry()
+        r.inc("x", 2)
+        r.observe("h", 2.0)
+        r.set_gauge("g", 1.0)
+        other.inc("x", 3)
+        other.observe("h", 1.0)
+        other.observe("h", 5.0)
+        other.observe("only", 4.0)
+        other.set_gauge("g", 9.0)
+        r.merge(other.snapshot())
+        assert r.counter("x") == 5
+        assert r.histogram("h") == {"count": 3, "total": 8.0, "min": 1.0,
+                                    "max": 5.0, "mean": 8.0 / 3}
+        assert r.histogram("only")["count"] == 1
+        assert r.gauge("g") == 1.0  # gauges are not merged
 
     def test_helpers_are_noops_when_disabled(self):
         obs.inc("dead.counter", 10)
@@ -117,6 +136,47 @@ class TestSpans:
             assert obs.current_span_path() == ""
         assert obs.SPANS.snapshot() == {}
 
+    def test_merge_combines_span_aggregates(self):
+        ours, theirs = obs.SpanRecorder(), obs.SpanRecorder()
+        for rec, durations in ((ours, [0.5]), (theirs, [0.25, 2.0])):
+            for d in durations:
+                path, token = rec.push("a")
+                rec.pop(path, token, d, failed=d > 1)
+        path, token = theirs.push("b")
+        theirs.pop(path, token, 1.0, failed=False)
+        ours.merge(theirs.snapshot())
+        snap = ours.snapshot()
+        assert snap["a"] == {"count": 3, "total_s": 2.75, "min_s": 0.25,
+                             "max_s": 2.0, "errors": 1}
+        assert snap["b"]["count"] == 1
+
+    def test_interleaved_asyncio_tasks_do_not_nest(self):
+        """Concurrent requests on one event loop each get their own
+        span path: no ``req/req`` and nothing left open afterwards."""
+        obs.enable()
+
+        async def request(entered, release):
+            with obs.span("req"):
+                entered.set()
+                await release.wait()
+                return obs.current_span_path()
+
+        async def main():
+            first_in, second_in = asyncio.Event(), asyncio.Event()
+            release = asyncio.Event()
+            first = asyncio.create_task(request(first_in, release))
+            await first_in.wait()
+            second = asyncio.create_task(request(second_in, release))
+            await second_in.wait()  # both spans are open at once
+            release.set()
+            return await asyncio.gather(first, second)
+
+        assert asyncio.run(main()) == ["req", "req"]
+        snap = obs.SPANS.snapshot()
+        assert set(snap) == {"req"}
+        assert snap["req"]["count"] == 2
+        assert obs.current_span_path() == ""
+
     def test_rank_threads_get_independent_stacks(self):
         obs.enable()
 
@@ -157,6 +217,32 @@ class TestWorkerStatMerge:
         for key in ("omp.columns_encoded", "omp.converged_columns",
                     "omp.iterations"):
             assert serial[key] == parallel[key], key
+
+
+class TestForkMapTelemetry:
+    @pytest.mark.skipif(not _can_fork(), reason="forking unavailable")
+    def test_worker_counters_and_spans_reach_the_parent(self, union_data):
+        """Trials that run in fork_map workers count exactly as if they
+        had run in the parent: same counters, same span paths/counts."""
+        a, _ = union_data
+
+        def observe(workers):
+            with obs.observed():
+                measure_alpha(a, 10, 0.2, trials=4, seed=1,
+                              workers=workers)
+                counters = dict(obs.REGISTRY.snapshot()["counters"])
+                spans = {p: e["count"]
+                         for p, e in obs.SPANS.snapshot().items()}
+                alphas = obs.REGISTRY.histogram("exd.alpha")["count"]
+            return counters, spans, alphas
+
+        serial, parallel = observe(1), observe(2)
+        assert serial[0]["exd.transforms"] == 4
+        assert serial[0]["omp.columns_encoded"] == 4 * a.shape[1]
+        assert serial[1] == {"alpha.trials": 1,
+                             "alpha.trials/exd.transform": 4,
+                             "alpha.trials/exd.transform/omp.encode": 4}
+        assert parallel == serial
 
 
 class TestGramCacheCounters:

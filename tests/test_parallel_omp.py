@@ -5,14 +5,23 @@ and chunk size, the merged CSC factors and the ``BatchOMPStats`` must
 equal the serial path exactly (``data``, ``indices``, ``indptr``, and
 every stats field).  These tests pin that contract on random Gaussian
 data and on union-of-subspaces data, and cover the Gram cache, the
-worker-count resolution, and the parallel dense solver used by the
+worker-count resolution, the ``fork_map`` contract (order, failures,
+dead workers, cleanup), and the parallel dense solver used by the
 baselines.
 """
+
+import multiprocessing
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.alpha import measure_alpha
+from repro.core.cost_model import CostModel
+from repro.core.tuner import tune_dictionary_size
 from repro.core.dictionary import sample_dictionary
 from repro.core.exd import exd_transform
 from repro.errors import DictionaryError, ValidationError
@@ -205,9 +214,10 @@ class TestGramCache:
 def _backend_probe(shared, payload):
     """Report the kernel a task would resolve, then poison the env.
 
-    With backend pinning every task (and every reused pool worker)
-    still resolves the backend the parent chose at ``fork_map`` entry;
-    without it the second task re-resolves the poisoned env and raises.
+    With backend pinning every task (in the caller's share and in every
+    worker) still resolves the backend the parent chose at ``fork_map``
+    entry; without it the second task re-resolves the poisoned env and
+    raises.
     """
     import os
 
@@ -238,6 +248,116 @@ class TestForkMapBackendPinning:
         finally:
             os.environ.pop("REPRO_OMP_BACKEND", None)
         assert names == ["numpy"] * 6
+
+
+needs_fork = pytest.mark.skipif(not _can_fork(),
+                                reason="forking unavailable here")
+
+
+def _tag(shared, payload):
+    return payload, os.getpid()
+
+
+def _fail_on(failing, payload):
+    """Raise ``failing[payload]`` for the payloads listed there."""
+    if payload in failing:
+        raise failing[payload](f"payload {payload}")
+    return payload
+
+
+class _WontUnpickle(Exception):
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def _die_in_worker(how, payload):
+    """End the worker process that runs payload 1 without an answer."""
+    if payload == 1 and multiprocessing.current_process().daemon:
+        if how == "exit":
+            os._exit(7)
+        if how == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return lambda: None  # its share's results cannot be pickled
+    return payload
+
+
+def _interrupt_parent(parent_pid, payload):
+    """The caller's share is interrupted; the workers would run long."""
+    if os.getpid() == parent_pid:
+        raise KeyboardInterrupt
+    time.sleep(60)
+    return payload
+
+
+@needs_fork
+class TestForkMapContract:
+    def test_uneven_shares_come_back_in_payload_order(self):
+        out = fork_map(_tag, range(7), None, workers=3)
+        assert [p for p, _ in out] == list(range(7))
+        pids = [pid for _, pid in out]
+        # payload i runs in share i % 3; share 0 is the caller's own
+        assert {pids[0], pids[3], pids[6]} == {os.getpid()}
+        assert pids[1] == pids[4] != pids[2] == pids[5]
+        assert os.getpid() not in (pids[1], pids[2])
+
+    def test_unpicklable_fn_and_shared_are_inherited(self):
+        lock = threading.Lock()  # cannot be pickled
+        out = fork_map(lambda shared, p: (shared is lock, p * p), range(5),
+                       lock, workers=2)
+        assert out == [(True, p * p) for p in range(5)]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("failing, expected", [
+        # shares at 3 workers: caller [0, 3, 6], workers [1, 4], [2, 5]
+        ({6: TypeError, 4: KeyError, 5: ValueError}, (KeyError, 4)),
+        ({3: TypeError, 5: ValueError}, (TypeError, 3)),
+        ({5: ValueError, 2: IndexError, 6: TypeError}, (IndexError, 2)),
+    ])
+    def test_lowest_failing_payload_is_reraised(self, failing, expected,
+                                                workers):
+        """Every worker count raises what the serial loop raises."""
+        exc_type, index = expected
+        with pytest.raises(exc_type, match=f"payload {index}"):
+            fork_map(_fail_on, range(7), failing, workers=workers)
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_worker_exception_becomes_runtime_error(self):
+        with pytest.raises(RuntimeError, match="_WontUnpickle"):
+            fork_map(_fail_on, range(4), {1: lambda m: _WontUnpickle(m, 0)},
+                     workers=2)
+
+    @pytest.mark.parametrize("how, code", [("exit", 7), ("kill", -9),
+                                           ("unpicklable", 1)])
+    def test_dead_worker_raises_promptly_and_is_reaped(self, how, code):
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=f"exited with code {code}"):
+            fork_map(_die_in_worker, range(6), how, workers=3)
+        assert time.monotonic() - t0 < 30
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_caller_kills_and_reaps_workers(self):
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            fork_map(_interrupt_parent, range(4), os.getpid(), workers=2)
+        assert time.monotonic() - t0 < 30
+        assert multiprocessing.active_children() == []
+
+    def test_leaves_no_thread_or_child_behind(self):
+        before = threading.active_count()
+        assert fork_map(_fail_on, range(8), {}, workers=2) == list(range(8))
+        assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
+
+    def test_tuner_table_is_identical_across_workers(self, noisy_union_data,
+                                                     small_cluster):
+        a, _ = noisy_union_data
+        model = CostModel(small_cluster)
+        serial = tune_dictionary_size(a, 0.1, model, seed=4, workers=1)
+        par = tune_dictionary_size(a, 0.1, model, seed=4, workers=2)
+        assert len(serial.table) >= 2
+        assert par.table == serial.table
+        assert par.subset_columns == serial.subset_columns
+        assert par.best_size == serial.best_size
 
 
 class TestParallelLeastSquares:
