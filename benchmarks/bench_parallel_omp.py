@@ -1,9 +1,10 @@
 """Parallel Batch-OMP encode — worker-count scaling on one host.
 
 The ExD encode is embarrassingly parallel over columns (Alg. 1 step 3);
-the engine in ``repro.linalg.parallel_omp`` shares the precomputed
-``DᵀD`` / ``DᵀA`` with fork-inherited workers and merges chunks in
-column order, so the speedup comes without any change in output bits.
+``batch_omp_matrix(..., workers=w)`` maps one task per fixed-width
+column panel over forked workers (each computing its own ``DᵀA``
+panels against the shared ``DᵀD``) and merges the panels in column
+order, so the speedup comes without any change in output bits.
 This bench measures wall time vs. worker count at the issue's reference
 shape (M=256, N=4096, L=512) and verifies the bit-identity claim on the
 timed runs themselves.
@@ -23,7 +24,6 @@ import pytest
 
 from repro.data import union_of_subspaces
 from repro.linalg import batch_omp_matrix
-from repro.linalg.parallel_omp import parallel_batch_omp_matrix
 from repro.utils import format_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -53,7 +53,7 @@ def test_serial_encode_benchmark(benchmark, problem):
 def test_parallel_encode_benchmark(benchmark, problem, workers):
     a, d = problem
     _c, stats = benchmark.pedantic(
-        parallel_batch_omp_matrix, args=(d, a, EPS),
+        batch_omp_matrix, args=(d, a, EPS),
         kwargs={"workers": workers}, rounds=1, iterations=1)
     assert stats.columns == N
 
@@ -69,7 +69,7 @@ def test_worker_scaling_report(benchmark, report, problem):
         times["serial"] = time.perf_counter() - t0
         for w in WORKER_COUNTS:
             t0 = time.perf_counter()
-            c, s = parallel_batch_omp_matrix(d, a, EPS, workers=w)
+            c, s = batch_omp_matrix(d, a, EPS, workers=w)
             times[w] = time.perf_counter() - t0
             outputs[w] = (c, s)
         return (c0, s0), outputs, times
@@ -86,7 +86,7 @@ def test_worker_scaling_report(benchmark, report, problem):
     t_serial = times["serial"]
     rows = [["serial loop", "-", f"{t_serial * 1e3:.0f}", "1.00x"]]
     for w in WORKER_COUNTS:
-        rows.append(["parallel engine", w, f"{times[w] * 1e3:.0f}",
+        rows.append(["column-parallel", w, f"{times[w] * 1e3:.0f}",
                      f"{t_serial / max(times[w], 1e-9):.2f}x"])
 
     # Machine-readable record (same schema as BENCH_spmd.json; this

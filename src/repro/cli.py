@@ -248,7 +248,7 @@ def cmd_transform(args) -> int:
             # streams only its shard_plan partition from disk.
             transform, stats, spmd = exd_transform_distributed(
                 a, args.size, args.eps, platform_by_name(args.platform),
-                seed=args.seed, workers=args.workers,
+                seed=args.seed,
                 block_width=args.block_width if streamed else None)
             print(f"simulated distributed encode on {args.platform}: "
                   f"{spmd.simulated_time * 1e3:.3f} ms "
@@ -388,8 +388,7 @@ def cmd_serve(args) -> int:
                   if args.platform else None)
     app = ServeApp(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
                    max_queue=args.max_queue, timeout_ms=args.timeout_ms,
-                   cost_model=cost_model, workers=args.workers,
-                   backend=args.backend)
+                   cost_model=cost_model, backend=args.backend)
     for spec in args.transform or []:
         tenant, path = _parse_transform_spec(spec)
         gen = app.registry.load(tenant, path)
@@ -612,9 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="bill per-tenant Eq. 2/3 costs against this "
                             "platform's cost model")
-    p_srv.add_argument("--workers", type=int, default=None,
-                       help="Batch-OMP workers per coalesced batch "
-                            "(default: serial; results are identical)")
     _add_backend_argument(p_srv)
 
     p_mnt = sub.add_parser("maintain", help="drift-aware online "

@@ -32,7 +32,7 @@ class DictOperator(Protocol):
     Implemented by the dense :class:`Dictionary`, the factored
     :class:`~repro.core.fastdict.FastDict` and the evolve-path
     :class:`~repro.core.fastdict.BlockDictOperator`.  Consumers
-    (``batch_omp_matrix``, the parallel engine, ``StreamingEncoder``,
+    (``batch_omp_matrix`` and its forked workers, ``StreamingEncoder``,
     the serve registry/batcher) only touch these members, so the cost
     of applying ``D`` is whatever the operator's structure allows —
     ``O(M·L)`` dense, ``O(Σⱼ nnz(Sⱼ))`` factored.

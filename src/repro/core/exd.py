@@ -184,8 +184,7 @@ def _rescale_columns(c: CSCMatrix, norms: np.ndarray) -> CSCMatrix:
                      check=False)
 
 
-def _exd_rank_program(comm, a, size, eps, seed, normalize, max_atoms,
-                      workers=None):
+def _exd_rank_program(comm, a, size, eps, seed, normalize, max_atoms):
     """SPMD body of Algorithm 1 (one rank)."""
     rank, p = comm.Get_rank(), comm.Get_size()
     m, n = a.shape
@@ -213,7 +212,7 @@ def _exd_rank_program(comm, a, size, eps, seed, normalize, max_atoms,
     block = a_work[:, lo:hi]
     # Step 3: local Batch-OMP; FLOPs billed to this rank's clock.
     c_local, stats = batch_omp_matrix(dictionary, block, eps,
-                                      max_atoms=max_atoms, workers=workers)
+                                      max_atoms=max_atoms)
     comm.charge_flops(stats.flops)
     if normalize:
         c_local = _rescale_columns(c_local, norms[lo:hi])
@@ -237,7 +236,7 @@ def _exd_rank_program(comm, a, size, eps, seed, normalize, max_atoms,
 
 
 def _exd_store_rank_program(comm, store, size, eps, seed, normalize,
-                            max_atoms, workers, block_width):
+                            max_atoms, block_width):
     """SPMD body of Algorithm 1 over a ColumnStore (one rank).
 
     Rank 0 samples the dictionary from disk (panel-aligned, the
@@ -285,8 +284,7 @@ def _exd_store_rank_program(comm, store, size, eps, seed, normalize,
         else:
             work, norms = raw, None
         c_blk, st = batch_omp_matrix(dictionary, work, eps,
-                                     max_atoms=max_atoms, gram=gram,
-                                     workers=workers)
+                                     max_atoms=max_atoms, gram=gram)
         if normalize:
             c_blk = _rescale_columns(c_blk, norms)
         flops += st.flops
@@ -317,16 +315,15 @@ def _exd_store_rank_program(comm, store, size, eps, seed, normalize,
 def exd_transform_distributed(a, size: int, eps: float, cluster, *,
                               seed=None, normalize: bool = True,
                               max_atoms: int | None = None,
-                              workers: int | None = None,
                               block_width: int | None = None,
                               backend: str | None = None):
     """Run Algorithm 1 on the emulated cluster.
 
     Returns ``(transform, stats, spmd_result)`` where ``spmd_result``
     carries the simulated preprocessing time/energy for the platform.
-    ``workers`` parallelises each rank's local Batch-OMP encode (the
-    per-rank coefficients — and hence the assembled transform — are
-    bit-identical to the serial encode).
+    Each rank encodes its columns serially: on more than one rank the
+    ranks are threads or daemonic processes, neither of which can fork
+    workers of its own.
 
     ``a`` may be a :class:`~repro.store.ColumnStore`: each rank then
     streams only its ``shard_plan`` partition of the chunks from disk
@@ -349,9 +346,8 @@ def exd_transform_distributed(a, size: int, eps: float, cluster, *,
                 f"N={n} data columns")
         with obs.span("exd.transform_distributed"):
             result = run_spmd(0, _exd_store_rank_program, a, size, eps,
-                              seed, normalize, max_atoms, workers,
-                              block_width, cluster=cluster,
-                              backend=backend)
+                              seed, normalize, max_atoms, block_width,
+                              cluster=cluster, backend=backend)
         transform, stats = result.returns[0]
         return transform, stats, result
     if block_width is not None:
@@ -369,7 +365,7 @@ def exd_transform_distributed(a, size: int, eps: float, cluster, *,
             f"N={a.shape[1]} data columns")
     with obs.span("exd.transform_distributed"):
         result = run_spmd(0, _exd_rank_program, a, size, eps, seed,
-                          normalize, max_atoms, workers, cluster=cluster,
+                          normalize, max_atoms, cluster=cluster,
                           backend=backend)
     transform, stats = result.returns[0]
     return transform, stats, result

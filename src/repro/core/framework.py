@@ -73,8 +73,11 @@ class ExtDict:
         cost is recorded (slower on the host; default off).
     workers:
         Host-side worker count for the preprocessing hot path (tuning
-        trials and the Batch-OMP encode); ``None`` = serial, ``-1`` =
-        all cores.  Results are identical for every value.
+        trials and the Batch-OMP encode, and the encodes of
+        :meth:`update` and :meth:`maintain`); ``None`` = serial,
+        ``-1`` = all cores.  Results are identical for every value.
+        With ``distributed_preprocess`` only the tuning uses it: the
+        SPMD ranks encode serially, since they cannot fork.
     memory_budget_bytes, block_width, checkpoint_dir:
         Out-of-core knobs used when ``fit`` receives a
         :class:`~repro.store.ColumnStore` (see
@@ -187,8 +190,7 @@ class ExtDict:
             with t, obs.span("extdict.transform"):
                 if self.distributed_preprocess and self.cluster is not None:
                     transform, stats, spmd = exd_transform_distributed(
-                        a, size, self.eps, self.cluster, seed=self.seed,
-                        workers=self.workers)
+                        a, size, self.eps, self.cluster, seed=self.seed)
                     report.simulated_transform_seconds = spmd.simulated_time
                 else:
                     transform, stats = exd_transform(

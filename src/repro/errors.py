@@ -42,7 +42,7 @@ class KernelError(ReproError, ValueError):
     Raised by :mod:`repro.linalg.kernels` when resolving a backend name
     (``REPRO_OMP_BACKEND``, CLI ``--backend`` or an explicit ``backend=``
     argument) fails — an unregistered name, or a registered backend whose
-    dependency (numba, cupy) is not importable.
+    dependency (numba) is not importable.
     """
 
 

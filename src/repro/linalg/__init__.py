@@ -25,7 +25,6 @@ from repro.linalg.parallel_omp import (
     GRAM_CACHE,
     GramCache,
     cached_gram,
-    parallel_batch_omp_matrix,
     parallel_least_squares,
     resolve_workers,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "GRAM_CACHE",
     "GramCache",
     "cached_gram",
-    "parallel_batch_omp_matrix",
     "parallel_least_squares",
     "resolve_workers",
     "pseudo_inverse",

@@ -3,7 +3,7 @@
 The Batch-OMP *orchestration* — panel-blocked ``DᵀA`` products, CSC
 assembly, strict-mode semantics, the Eq. 2/3 FLOP ledger and the
 observability counters — is pure python and lives in
-:mod:`repro.linalg.omp` / :mod:`repro.linalg.parallel_omp`.  The
+:func:`repro.linalg.omp.batch_omp_matrix`.  The
 greedy selection loop underneath it is the hot path: for every
 selected atom it performs an argmax over ``L`` correlations, an
 ``O(k²)`` progressive Cholesky update and an ``O(L·k)`` correlation
@@ -29,9 +29,6 @@ layer:
     loops in machine code (:mod:`repro.linalg.kernels.numba_kernel`).
     Optional dependency: registered always, available only when numba
     imports.
-``cupy``
-    A registration stub reserving the name for the GPU path
-    (:mod:`repro.linalg.kernels.cupy_kernel`); see ROADMAP item 2.
 
 Selection precedence (first match wins):
 
@@ -126,9 +123,10 @@ class OMPKernelBackend:
     def warmup(self) -> None:
         """Pay one-time costs (JIT compilation) eagerly.
 
-        Called by the parallel engine before forking workers so the
-        compiled code is inherited copy-on-write instead of being
-        recompiled per child.  The default is a no-op.
+        Called by ``batch_omp_matrix`` before a column-parallel map
+        forks its workers, so the compiled code is inherited
+        copy-on-write instead of being recompiled per child.  The
+        default is a no-op.
         """
 
     def batch_omp_columns(self, gram, dta_panel, col_sq, eps: float,
@@ -292,6 +290,5 @@ def use_backend(name: str | None):
 
 # Built-in backends register on import (cheap: no optional dependency
 # is imported until a backend is actually resolved and used).
-from repro.linalg.kernels import cupy_kernel  # noqa: E402,F401
 from repro.linalg.kernels import numba_kernel  # noqa: E402,F401
 from repro.linalg.kernels import numpy_ref  # noqa: E402,F401

@@ -16,7 +16,7 @@ that kernel, not over a per-column python loop.
 
 Compilation is lazy (first encode) and cached: ``cache=True`` persists
 the machine code next to this file, so one process's compile pays for
-every later one, and the parallel engine's pre-fork
+every later one, and ``batch_omp_matrix``'s pre-fork
 :meth:`~NumbaBackend.warmup` makes children inherit the compiled kernel
 copy-on-write instead of recompiling per worker.
 

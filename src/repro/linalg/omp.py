@@ -9,9 +9,11 @@ Two implementations:
 * :func:`batch_omp_solve` / :func:`batch_omp_matrix` — Batch-OMP with
   progressive Cholesky updates [Rubinstein et al. 2008], which the paper
   uses in its implementation (Sec. V-D).  ``batch_omp_matrix`` amortises
-  ``G = DᵀD`` and ``DᵀA`` across all N columns — the whole-matrix
-  ``DᵀA`` is one BLAS-3 product, which is where the ``O(MNL)`` term of
-  the paper's complexity bound lives.
+  ``G = DᵀD`` across all N columns and evaluates ``DᵀA`` as BLAS-3
+  products on fixed-width column panels, which is where the ``O(MNL)``
+  term of the paper's complexity bound lives.  It is the only matrix
+  encode loop: serial and column-parallel encodes run the same
+  per-range sweep, in-process or over forked workers.
 
 Both enforce the *relative* stopping rule of Eq. 1 per column:
 ``‖a − D c‖₂ ≤ eps · ‖a‖₂``.
@@ -105,9 +107,22 @@ def is_dict_operator(d) -> bool:
             and hasattr(d, "atoms"))
 
 
-def blocked_dta(d, a: np.ndarray, *, out: np.ndarray | None = None
-                ) -> np.ndarray:
-    """``DᵀA`` evaluated on fixed-width contiguous column panels.
+def blocked_dta(d, a: np.ndarray) -> np.ndarray:
+    """The whole ``(L, N)`` product ``DᵀA``, panel by panel.
+
+    Assembled from :func:`iter_panel_dta`'s panels, so it carries the
+    same bits.  The encodes never hold this product; they stream the
+    panels instead.
+    """
+    l = d.size if is_dict_operator(d) else d.shape[1]
+    out = np.empty((l, a.shape[1]), dtype=np.float64)
+    for lo, hi, panel in iter_panel_dta(d, a):
+        out[:, lo:hi] = panel
+    return out
+
+
+def iter_panel_dta(d, a: np.ndarray):
+    """Yield ``(lo, hi, DᵀA[:, lo:hi])`` one fixed-width panel at a time.
 
     ``d`` may be a dense ``(M, L)`` array or any ``DictOperator`` —
     the panel product then routes through ``d.apply_t`` so a factored
@@ -116,49 +131,19 @@ def blocked_dta(d, a: np.ndarray, *, out: np.ndarray | None = None
     operator evaluates the very same ``atoms.T @ panel`` expression as
     a bare array, so the bits are unchanged.)
 
-    ``out`` lets hot loops that evaluate many same-shaped products
-    (the streaming encoder's per-block precompute, the serve path's
-    per-micro-batch precompute, benchmarks) reuse one ``(L, n)``
-    float64 workspace: first-touch page faults on a fresh output are
-    comparable to the apply arithmetic itself for a factored
-    dictionary, so the reuse is where much of the fast-transform win
-    is realised.  The values written are identical either way.
-
     Bit-for-bit reproducible for any storage layout *and any column
     grouping* of ``a``: every panel apply runs at exactly
     :data:`ENCODE_BLOCK_COLS` columns (zero-padded when partial), so
     each output column is a fixed-shape function of its input column
     alone — encoding the full matrix, an aligned sub-range, or an
     arbitrary micro-batch of single columns produces identical values.
-    """
-    if is_dict_operator(d):
-        l = d.size
-        apply_t = d.apply_t
-    else:
-        l = d.shape[1]
-        apply_t = d.T.__matmul__
-    if out is None:
-        out = np.empty((l, a.shape[1]), dtype=np.float64)
-    elif out.shape != (l, a.shape[1]) or out.dtype != np.float64:
-        raise ValidationError(
-            f"out must be float64 of shape ({l}, {a.shape[1]}), got "
-            f"{out.dtype} {out.shape}")
-    for lo, hi in encode_block_bounds(a.shape[1]):
-        out[:, lo:hi] = apply_t(_padded_panel(a, lo, hi))[:, :hi - lo]
-    return out
 
-
-def iter_panel_dta(d, a: np.ndarray):
-    """Yield ``(lo, hi, DᵀA[:, lo:hi])`` one panel at a time.
-
-    The values are exactly those of :func:`blocked_dta` — one padded
-    fixed-width apply per panel — but the full ``(L, N)`` product is
-    never materialised, so a consumer that uses each panel once (the
-    serial encode sweep) pays only the apply arithmetic plus one live
-    ``(L, 256)`` panel of memory traffic.  For a factored dictionary
-    the avoided ``(L, N)`` write/read is comparable to the whole
-    ``O(transform_nnz·N)`` apply, which is where the fast-transform
-    speedup is realised end to end.
+    The full ``(L, N)`` product is never materialised, so an encode
+    pays only the apply arithmetic plus one live ``(L, 256)`` panel of
+    memory traffic.  For a factored dictionary the avoided ``(L, N)``
+    write/read is comparable to the whole ``O(transform_nnz·N)``
+    apply, which is where the fast-transform speedup is realised end
+    to end.
     """
     if is_dict_operator(d):
         apply_t = d.apply_t
@@ -326,11 +311,44 @@ class BatchOMPStats:
     converged_mask: np.ndarray | None = None
 
 
+def _encode_range(shared, bounds: tuple[int, int]):
+    """Code columns ``[lo, hi)`` of one ``batch_omp_matrix`` call.
+
+    ``lo`` is panel-aligned, so the padded panels swept here are exactly
+    the ones a whole-matrix sweep evaluates for these columns — which is
+    why any split into such ranges gives the serial bits.  Returns
+    ``(C_part, iterations, converged_mask)``; in strict mode it raises at
+    the range's first column that cannot meet ``eps``.
+    """
+    d, a, gram, eps, max_atoms, strict, kernel = shared
+    lo, hi = bounds
+    a = a[:, lo:hi]
+    col_sq = blocked_column_squares(a)
+    l = gram.shape[0]
+    builder = ColumnBuilder(nrows=l)
+    iterations = 0
+    converged = np.zeros(hi - lo, dtype=bool)
+    # Each panel's codes land in C with one bulk append.
+    for plo, phi, dta_panel in iter_panel_dta(d, a):
+        results = kernel.batch_omp_columns(
+            gram, dta_panel, col_sq[plo:phi], eps, max_atoms)
+        ok = np.fromiter((r[4] for r in results), dtype=bool,
+                         count=phi - plo)
+        if strict and not ok.all():
+            off = int(np.argmin(ok))
+            raise _strict_failure(eps, l, results[off][2],
+                                  float(col_sq[plo + off]))
+        builder.add_columns([r[0] for r in results],
+                            [r[1] for r in results])
+        iterations += sum(r[3] for r in results)
+        converged[plo:phi] = ok
+    return builder.finalize(), iterations, converged
+
+
 def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
                      strict: bool = False,
                      gram: np.ndarray | None = None,
                      workers: int | None = None,
-                     chunk_size: int | None = None,
                      backend=None) \
         -> tuple[CSCMatrix, BatchOMPStats]:
     """Sparse-code every column of ``a`` against dictionary ``d``.
@@ -350,13 +368,12 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
     Parameters
     ----------
     workers:
-        Column-parallel encode over a shared-memory worker pool (see
-        :mod:`repro.linalg.parallel_omp`).  ``None``/``1`` is serial;
-        ``-1`` uses every available core.  The output is bit-identical
-        to the serial path for every worker count.
-    chunk_size:
-        Columns per worker task (parallel path only); defaults to ~4
-        tasks per worker.
+        Column-parallel encode: ``None``/``1`` sweeps all columns in
+        one task; above that every :data:`ENCODE_BLOCK_COLS`-column
+        panel is one task of a :func:`~repro.linalg.parallel_omp.fork_map`
+        over that many processes (``-1`` uses every available core), and
+        each worker computes its own ``DᵀA`` panels.  The output is
+        bit-identical to the serial sweep for every worker count.
     gram:
         Precomputed ``DᵀD``.  When omitted, it is obtained through the
         process-wide Gram cache, so repeated encodes against the same
@@ -375,17 +392,16 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
     Raises
     ------
     DictionaryError
-        With ``strict=True``, as soon as any column cannot meet ``eps``
-        — the paper's ``L < L_min`` infeasible regime.
+        With ``strict=True``, when any column cannot meet ``eps`` — the
+        paper's ``L < L_min`` infeasible regime.  The message names the
+        smallest such column at every worker count.
     ValidationError
         When ``eps`` is outside ``[0, 1]`` or ``max_atoms`` is not a
         positive integer.
     """
-    from repro.linalg.parallel_omp import (
-        cached_gram,
-        parallel_batch_omp_matrix,
-        resolve_workers,
-    )
+    # Late module import: fork_map is looked up on the module at call
+    # time, so wrappers installed there see every encode map.
+    from repro.linalg import parallel_omp
 
     op = d if is_dict_operator(d) else None
     if op is None:
@@ -402,43 +418,33 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
         raise ValidationError(
             f"incompatible shapes: D({m}, {l}), A{a.shape}")
     eps, max_atoms = check_encode_args(eps, max_atoms)
-    if resolve_workers(workers) > 1:
-        return parallel_batch_omp_matrix(d, a, eps, max_atoms=max_atoms,
-                                         strict=strict, gram=gram,
-                                         workers=workers,
-                                         chunk_size=chunk_size,
-                                         backend=backend)
     kernel = resolve_backend(backend)
     n = a.shape[1]
+    nworkers = parallel_omp.resolve_workers(workers)
+    tasks = (encode_block_bounds(n) if nworkers > 1 else None) or [(0, n)]
     with obs.span("omp.encode"):
         if gram is None:
-            gram = op.gram() if op is not None else cached_gram(d)
-        col_sq = blocked_column_squares(a)
-        builder = ColumnBuilder(nrows=l)
-        total_iters = 0
-        converged_mask = np.zeros(n, dtype=bool)
-        # The greedy loops run panel-by-panel through the selected
-        # kernel backend (each column is independent, so the grouping
-        # is free); the DᵀA precompute streams through the same aligned
-        # BLAS-3 panels (never materialising the (L, N) product — the
-        # fixed partition is also what lets the out-of-core streaming
-        # encoder reproduce these bits block by block).  Strict-mode
-        # still fails on the smallest out-of-tolerance column index; each
-        # panel's codes land in C with one bulk append.
-        for lo, hi, dta_panel in iter_panel_dta(d, a):
-            results = kernel.batch_omp_columns(
-                gram, dta_panel, col_sq[lo:hi], eps, max_atoms)
-            ok = np.fromiter((r[4] for r in results), dtype=bool,
-                             count=hi - lo)
-            if strict and not ok.all():
-                off = int(np.argmin(ok))
-                raise _strict_failure(eps, l, results[off][2],
-                                      float(col_sq[lo + off]))
-            builder.add_columns([r[0] for r in results],
-                                [r[1] for r in results])
-            total_iters += sum(r[3] for r in results)
-            converged_mask[lo:hi] = ok
-        c = builder.finalize()
+            gram = op.gram() if op is not None else \
+                parallel_omp.cached_gram(d)
+        shared = (d, a, gram, eps, max_atoms, strict, kernel)
+        if len(tasks) == 1:
+            # Nothing to fork: no map and no merge, so the fork-pool
+            # layer (pool.* counters, traced fork_map calls) sees only
+            # maps that can fork.
+            c, total_iters, converged_mask = _encode_range(shared,
+                                                           tasks[0])
+        else:
+            # Pay any JIT compilation once, before the fork, so workers
+            # inherit the compiled code instead of recompiling it.
+            kernel.warmup()
+            obs.inc("pool.chunks", len(tasks))
+            obs.set_gauge("pool.workers", nworkers)
+            parts = parallel_omp.fork_map(_encode_range, tasks, shared,
+                                          nworkers)
+            c = CSCMatrix.hstack_all(part[0] for part in parts)
+            total_iters = sum(part[1] for part in parts)
+            converged_mask = np.concatenate([part[2] for part in parts])
+    total_iters = int(total_iters)
     # FLOP model: DᵀA is 2·transform_nnz·N (= 2·M·N·L dense — a
     # factored dictionary's ledger counts its actual Σⱼ nnz(Sⱼ)); each
     # greedy iteration touches O(L·k) for the alpha update plus O(k²)
@@ -454,7 +460,7 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
                         "omp.iterations": total_iters,
                         "omp.flops": stats.flops})
     # Atom-usage hook (repro.online): one falsy-dict check when nothing
-    # is watched; the parallel path records in its own parent instead
-    # (this function returned early above), so each encode records once.
+    # is watched; it runs here, after the merge, so each encode records
+    # once whatever its worker count.
     record_encode(op if op is not None else d, c)
     return c, stats

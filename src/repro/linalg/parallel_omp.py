@@ -1,27 +1,25 @@
-"""Shared-memory parallel Batch-OMP encoding engine.
+"""Host parallelism and shared state for the Batch-OMP encodes.
 
 ExD preprocessing sparse-codes every column of ``A`` independently
 (Alg. 1 step 3), which makes the encode embarrassingly parallel over
 columns — the paper distributes exactly this step across ranks, and
 RankMap / Mensch et al. report near-linear scaling for column-wise
-sparse coding.  This module provides the single-host analogue:
+sparse coding.  This module provides the single-host machinery:
 
-* :func:`fork_map` — the deterministic fork map everything here is
-  built on, also used by the trial-parallel α estimators (the tuner's
-  whole candidate sweep is one map) and the dense baselines.  The
-  caller runs one interleaved share of the payloads itself and forks
-  one daemonic worker per other share; workers inherit the function,
-  the shared state and the payloads at fork time (copy-on-write,
-  nothing is pickled on the way in) and send their results back in one
-  pipe message each, together with the counters, histograms and spans
-  they recorded.  Results come back in payload order, and a failing
-  task raises in the caller exactly as a serial loop would.
-* :func:`parallel_batch_omp_matrix` — a chunked column scheduler over
-  the Batch-OMP kernel.  The parent computes ``G = DᵀD`` and ``DᵀA``
-  once; the chunks are mapped with :func:`fork_map` and merged **in
-  column order**, which makes the CSC output and the
-  :class:`~repro.linalg.omp.BatchOMPStats` bit-identical to the serial
-  path for every worker count and chunk size.
+* :func:`fork_map` — the deterministic fork map every host-parallel
+  path is built on: the column-parallel encode of
+  :func:`~repro.linalg.omp.batch_omp_matrix` (one task per fixed-width
+  panel, each worker computing its own ``DᵀA`` panels), the
+  trial-parallel α estimators (the tuner's whole candidate sweep is one
+  map) and the dense baselines.  The caller runs one interleaved share
+  of the payloads itself and forks one daemonic worker per other share;
+  workers inherit the function, the shared state and the payloads at
+  fork time (copy-on-write, nothing is pickled on the way in) and send
+  their results back in one pipe message each, together with the
+  counters, histograms and spans they recorded.  Results come back in
+  payload order, and a failing task raises in the caller exactly as a
+  serial loop would.
+* :func:`encode_columns` — the serving daemon's micro-batch encode.
 * :class:`GramCache` / :func:`cached_gram` — a process-wide LRU cache of
   ``DᵀD`` keyed on dictionary identity, so tuner trials (and evolving
   updates) that reuse a dictionary stop recomputing the Gram matrix.
@@ -29,10 +27,11 @@ sparse coding.  This module provides the single-host analogue:
 Workers are plain ``fork`` processes, forked per map (a fork costs a few
 milliseconds; the α estimators batch their trials so one map covers a
 whole sweep).  When forking is unsafe or unavailable — non-fork
-platforms, a daemonic process such as a ``fork_map`` worker (no nested
-forks), or a multi-threaded parent such as the MPI emulator's rank
-threads — the map degrades to an in-process loop, which returns the
-very same results; ``workers`` is therefore always safe to pass.
+platforms, a daemonic process such as a ``fork_map`` worker or an SPMD
+rank process (no nested forks), or a multi-threaded parent such as the
+MPI emulator's rank threads or the serve daemon's encode thread — the
+map degrades to an in-process loop, which returns the very same
+results; ``workers`` is therefore always safe to pass.
 """
 
 from __future__ import annotations
@@ -42,20 +41,17 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro import observability as obs
-from repro.errors import DictionaryError, ValidationError
-from repro.online.stats import record_encode
+from repro.errors import ValidationError
 
 __all__ = [
     "GramCache",
     "cached_gram",
     "encode_columns",
     "fork_map",
-    "parallel_batch_omp_matrix",
     "parallel_least_squares",
     "resolve_workers",
 ]
@@ -177,8 +173,8 @@ class GramCache:
         return gram
 
 
-#: The process-wide cache used by ``batch_omp_matrix`` (serial and
-#: parallel paths alike) whenever no explicit ``gram`` is supplied.
+#: The process-wide cache used by ``batch_omp_matrix`` (at every worker
+#: count) whenever no explicit ``gram`` is supplied.
 GRAM_CACHE = GramCache()
 
 
@@ -345,178 +341,10 @@ def fork_map(fn, payloads, shared, workers: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# The parallel encode engine
-# ----------------------------------------------------------------------
-@dataclass
-class _EncodeShared:
-    """Fork-inherited state of one parallel encode call."""
-
-    gram: np.ndarray      # DᵀD, (L, L)
-    dta: np.ndarray       # DᵀA, (L, N)
-    col_sq: np.ndarray    # per-column ‖a_j‖², blocked schedule
-    eps: float
-    max_atoms: int | None
-    strict: bool
-    backend: str = "numpy"   # concrete kernel name, resolved pre-fork
-
-
-def _encode_chunk(shared: _EncodeShared, bounds: tuple[int, int]):
-    """Code columns ``[lo, hi)``; returns arrays ready for ordered merge.
-
-    The per-column computation runs through exactly the kernel backend
-    the parent resolved (same kernel, same ``‖a‖²`` dot, same row order
-    as the serial path's bulk append), which is what makes the merged
-    output bit-identical — workers never re-resolve config/env, they
-    inherit the concrete backend name in ``shared``.
-    """
-    from repro.linalg.kernels import get_backend
-    from repro.sparse.builder import stack_columns
-
-    kernel = get_backend(shared.backend)
-    lo, hi = bounds
-    results = kernel.batch_omp_columns(
-        shared.gram, shared.dta[:, lo:hi], shared.col_sq[lo:hi],
-        shared.eps, shared.max_atoms)
-    converged = np.fromiter((r[4] for r in results), dtype=bool,
-                            count=hi - lo)
-    if shared.strict and not converged.all():
-        # Serial raises at the first failing column; report it so the
-        # parent can raise deterministically for the smallest j.
-        off = int(np.argmin(converged))
-        return ("error", lo + off, float(results[off][2]),
-                float(shared.col_sq[lo + off]))
-    iterations = np.fromiter((r[3] for r in results), dtype=np.int64,
-                             count=hi - lo)
-    data, indices, col_nnz = stack_columns(
-        [r[0] for r in results], [r[1] for r in results],
-        shared.gram.shape[0])
-    return ("ok", data, indices, col_nnz, iterations, converged)
-
-
-def default_chunk_size(n: int, workers: int) -> int:
-    """Columns per task: ~4 tasks per worker for load balance."""
-    return max(1, -(-n // (max(workers, 1) * 4)))
-
-
-def parallel_batch_omp_matrix(d, a, eps: float, *,
-                              max_atoms: int | None = None,
-                              strict: bool = False,
-                              gram: np.ndarray | None = None,
-                              workers: int | None = None,
-                              chunk_size: int | None = None,
-                              backend=None):
-    """Sparse-code every column of ``a`` in column chunks over workers.
-
-    Drop-in replacement for the serial ``batch_omp_matrix`` loop: the
-    returned ``(CSCMatrix, BatchOMPStats)`` pair is bit-identical to the
-    serial path regardless of ``workers`` and ``chunk_size`` — chunks
-    are merged in column order, every chunk runs the identical kernel on
-    the identical precomputed ``G``/``DᵀA``, and the stats are reduced
-    from per-column integers.  Normally reached through
-    ``batch_omp_matrix(..., workers=...)`` rather than called directly.
-    """
-    from repro.linalg.kernels import resolve_backend
-    from repro.linalg.omp import (
-        BatchOMPStats,
-        blocked_column_squares,
-        blocked_dta,
-        check_encode_args,
-        is_dict_operator,
-    )
-
-    op = d if is_dict_operator(d) else None
-    if op is None:
-        d = np.asarray(d, dtype=np.float64)
-        if d.ndim != 2:
-            raise ValidationError(f"dictionary must be 2-D, got {d.ndim}-D")
-        m, l = d.shape
-        transform_nnz = m * l
-    else:
-        # DictOperator (dense Dictionary / FastDict / block operator):
-        # only the parent touches it — workers receive the precomputed
-        # G/DᵀA panels, never the operator itself.
-        m, l = op.m, op.size
-        transform_nnz = op.transform_nnz
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != m:
-        raise ValidationError(
-            f"incompatible shapes: D({m}, {l}), A{a.shape}")
-    eps, max_atoms = check_encode_args(eps, max_atoms)
-    n = a.shape[1]
-    nworkers = resolve_workers(workers)
-    # Resolve config/env to a concrete kernel up front so every fork
-    # worker runs the same backend the parent chose, and pay any JIT
-    # compilation before forking — children then inherit the compiled
-    # code copy-on-write instead of recompiling it per worker.
-    kernel = resolve_backend(backend)
-    kernel.warmup()
-    with obs.span("omp.encode"):
-        if gram is None:
-            gram = op.gram() if op is not None else cached_gram(d)
-        # Same aligned-panel schedule as the serial path (see
-        # repro.linalg.omp.ENCODE_BLOCK_COLS): serial, parallel and
-        # store-streaming encodes all see bit-identical G/DᵀA/‖a_j‖².
-        dta_all = blocked_dta(d, a)
-        col_sq = blocked_column_squares(a)
-        if chunk_size is None:
-            chunk_size = default_chunk_size(n, nworkers)
-        chunk_size = max(int(chunk_size), 1)
-        chunks = [(lo, min(lo + chunk_size, n))
-                  for lo in range(0, n, chunk_size)]
-        obs.inc("pool.chunks", len(chunks))
-        obs.set_gauge("pool.workers", nworkers)
-        obs.set_gauge("pool.chunk_size", chunk_size)
-        shared = _EncodeShared(gram=gram, dta=dta_all, col_sq=col_sq,
-                               eps=eps, max_atoms=max_atoms, strict=strict,
-                               backend=kernel.name)
-        parts = fork_map(_encode_chunk, chunks, shared, nworkers)
-
-    failures = [p for p in parts if p[0] == "error"]
-    if failures:
-        _, j, res_sq, a_sq = min(failures, key=lambda p: p[1])
-        target_sq = (eps * float(np.sqrt(a_sq))) ** 2
-        raise DictionaryError(
-            f"Batch-OMP could not reach eps={eps} with {l} atoms "
-            f"(residual {np.sqrt(res_sq):.3e} > "
-            f"target {np.sqrt(target_sq):.3e})")
-
-    data = np.concatenate([p[1] for p in parts]) if parts else \
-        np.empty(0, dtype=np.float64)
-    indices = np.concatenate([p[2] for p in parts]) if parts else \
-        np.empty(0, dtype=np.int64)
-    col_nnz = np.concatenate([p[3] for p in parts]) if parts else \
-        np.empty(0, dtype=np.int64)
-    iterations = np.concatenate([p[4] for p in parts]) if parts else \
-        np.empty(0, dtype=np.int64)
-    converged = np.concatenate([p[5] for p in parts]) if parts else \
-        np.empty(0, dtype=bool)
-
-    from repro.sparse.csc import CSCMatrix
-    indptr = np.concatenate(([0], np.cumsum(col_nnz))).astype(np.int64)
-    c = CSCMatrix(data, indices, indptr, (l, n), check=False)
-    total_iters = int(iterations.sum())
-    flops = 2 * transform_nnz * n + 4 * l * total_iters + 2 * c.nnz
-    stats = BatchOMPStats(columns=n,
-                          converged_columns=int(converged.sum()),
-                          total_iterations=total_iters, flops=int(flops),
-                          converged_mask=converged)
-    # Counters and atom usage are recorded once, in the caller, from the
-    # merged result — the same numbers the serial path records.
-    obs.merge_counters({"omp.columns_encoded": stats.columns,
-                        "omp.converged_columns": stats.converged_columns,
-                        "omp.iterations": total_iters,
-                        "omp.flops": stats.flops})
-    record_encode(op if op is not None else d, c)
-    return c, stats
-
-
-# ----------------------------------------------------------------------
 # Shared-G micro-batch encode (the serving daemon's kernel)
 # ----------------------------------------------------------------------
 def encode_columns(d, columns, eps: float, *,
-                   gram: np.ndarray | None = None,
                    max_atoms: int | None = None,
-                   workers: int | None = None,
                    backend=None):
     """Sparse-code a stack of columns against ``d``, sharing one ``G``.
 
@@ -527,7 +355,7 @@ def encode_columns(d, columns, eps: float, *,
     single-column requests.  One call amortises the ``DᵀA`` product (and
     the Gram lookup) across the whole batch, which is exactly what makes
     Batch-OMP fast; thanks to the fixed-width padded compute panels of
-    :func:`~repro.linalg.omp.blocked_dta`, each column's code is
+    :func:`~repro.linalg.omp.iter_panel_dta`, each column's code is
     bit-identical to encoding it alone, in any other batch, or inside a
     full ``batch_omp_matrix`` run — coalescing never changes answers.
 
@@ -543,7 +371,6 @@ def encode_columns(d, columns, eps: float, *,
         raise ValidationError(
             f"columns must be 2-D (M, k), got {columns.ndim}-D")
     c, stats = batch_omp_matrix(d, columns, eps, max_atoms=max_atoms,
-                                gram=gram, workers=workers,
                                 backend=backend)
     results = []
     for j in range(columns.shape[1]):

@@ -30,6 +30,7 @@ the callback before the reply arrives.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import multiprocessing
 import os
@@ -365,26 +366,23 @@ class ProcessCommunicator:
         return self._wrap(self._call("Dup"))
 
 
-def _counter_deltas(baseline: dict | None) -> dict:
-    """Worker-side observability counters accrued since the fork."""
-    from repro.observability._state import STATE
-    from repro.observability.metrics import REGISTRY
-
-    if baseline is None or not STATE.enabled:
-        return {}
-    counters = REGISTRY.snapshot()["counters"]
-    return {k: v - baseline.get(k, 0) for k, v in counters.items()
-            if v != baseline.get(k, 0)}
-
-
 def _worker_main(conn, prefix: str, rank: int, size: int, fn, args,
-                 kwargs, baseline) -> None:
+                 kwargs, observed: bool) -> None:
     """Entry point of one forked rank process."""
+    from repro import observability as obs
+
+    if observed:
+        # The tables are this rank's private copy from the fork; empty
+        # them so what the parent merges is this rank's telemetry alone.
+        obs.REGISTRY.reset()
+        obs.SPANS.reset()
     link = _WorkerLink(conn, prefix, rank)
     comm = ProcessCommunicator(link, 0, rank, size)
     try:
         try:
-            ret = fn(comm, *args, **kwargs)
+            # A fresh context starts the rank at the root span path, as
+            # a rank thread starts, not inside the span open at the fork.
+            ret = contextvars.Context().run(fn, comm, *args, **kwargs)
         except DeadlockError as exc:
             link.send_terminal(("deadlock", _portable_exc(exc)))
         except MPIEmulatorError as exc:
@@ -402,8 +400,9 @@ def _worker_main(conn, prefix: str, rank: int, size: int, fn, args,
                     f"rank {rank} return value could not be "
                     f"transferred: {exc}")))
             else:
-                link.send_terminal(("finished", payload,
-                                    _counter_deltas(baseline)))
+                telemetry = (obs.REGISTRY.snapshot(), obs.SPANS.snapshot()) \
+                    if observed else None
+                link.send_terminal(("finished", payload, telemetry))
     except (BrokenPipeError, OSError):
         pass  # parent is gone; nothing left to report to
     finally:
@@ -516,7 +515,7 @@ class _RankChannel:
 def _proxy_loop(world: World, chan: _RankChannel, returns: list,
                 deadlock: list) -> None:
     """Parent thread replaying one worker's calls on a real comm."""
-    from repro.observability import merge_counters
+    from repro import observability as obs
 
     rank, conn, link = chan.rank, chan.link.conn, chan.link
     comms: dict[int, Communicator] = {0: Communicator(world, rank)}
@@ -570,13 +569,15 @@ def _proxy_loop(world: World, chan: _RankChannel, returns: list,
                     worker_died()
                     return
             elif kind == "finished":
-                _, payload, deltas = msg
+                _, payload, telemetry = msg
                 try:
                     returns[rank] = link.decode(payload)
                 except Exception as exc:  # noqa: BLE001 - corrupt segment
                     world.rank_failed(rank, exc)
-                if deltas:
-                    merge_counters(deltas)
+                if telemetry is not None:
+                    metrics, spans = telemetry
+                    obs.REGISTRY.merge(metrics)
+                    obs.SPANS.merge(spans)
                 world.rank_finished()
                 return
             elif kind == "deadlock":
@@ -605,14 +606,13 @@ def run_process_ranks(world: World, fn, args, kwargs, returns: list,
     are then terminated and reaped; every shared-memory segment the run
     created is unlinked before returning.
     """
-    from repro.observability._state import STATE
-    from repro.observability.metrics import REGISTRY
+    from repro import observability as obs
 
     size = world.size
     ctx = multiprocessing.get_context("fork")
     prefix = f"repro-mpi-{os.getpid()}-{next(_RUN_IDS)}-"
     registry = SegmentRegistry()
-    baseline = REGISTRY.snapshot()["counters"] if STATE.enabled else None
+    observed = obs.enabled()
 
     channels: list[_RankChannel] = []
     try:
@@ -621,7 +621,7 @@ def run_process_ranks(world: World, fn, args, kwargs, returns: list,
             proc = ctx.Process(
                 target=_worker_main,
                 args=(child_conn, prefix, rank, size, fn, args, kwargs,
-                      baseline),
+                      observed),
                 name=f"repro-mpi-rank-{rank}", daemon=True)
             proc.start()
             child_conn.close()

@@ -19,8 +19,8 @@ Metric-name conventions (dotted, subsystem-first):
 =====================  ==============================================
 ``omp.*``              Batch-OMP encode (columns, iterations, flops)
 ``gram_cache.*``       process-wide ``DᵀD`` cache hits/misses
-``pool.*``             column-parallel encode scheduling (chunks,
-                       workers)
+``pool.*``             column-parallel encode scheduling (panel
+                       tasks, workers)
 ``alpha.*``            α(L) estimation trials
 ``tuner.*``            Sec. VII tuner probes and candidates
 ``solver.*``           distributed regression solvers

@@ -4,9 +4,9 @@ Metric names are dotted strings grouped by subsystem, e.g.
 ``omp.columns_encoded``, ``gram_cache.hits``, ``pool.chunks``,
 ``mpi.collective.words``.  The registry is thread-safe (the MPI
 emulator runs rank programs on threads of one process) and mergeable
-(``fork_map`` workers send their counters and histograms back to the
-parent, which folds them in with :meth:`MetricsRegistry.merge`; SPMD
-rank processes send counter deltas, see :func:`merge_counters`).
+(``fork_map`` workers and SPMD rank processes send their counters and
+histograms back to the parent, which folds them in with
+:meth:`MetricsRegistry.merge`).
 
 Instrumented call sites go through the module-level helpers
 (:func:`inc`, :func:`set_gauge`, :func:`observe`), which are no-ops
@@ -173,6 +173,6 @@ def observe(name: str, value: float) -> None:
 
 
 def merge_counters(deltas: dict) -> None:
-    """Merge worker counter deltas — no-op while observability is off."""
+    """Add counter increments — no-op while observability is off."""
     if STATE.enabled:
         REGISTRY.merge_counters(deltas)

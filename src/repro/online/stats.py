@@ -1,14 +1,13 @@
 """Per-atom usage statistics fed by the encoder's atom selections.
 
-Every encode path in the repo funnels through ``batch_omp_matrix`` (the
-serial loop, the column-parallel engine, ``encode_columns`` behind
-the serving micro-batcher, and the ``StreamingEncoder``'s per-block
-calls).  The two engines call :func:`record_encode` exactly once per
-encode with the dictionary object they were handed plus the finished
-CSC coefficients — at that point the parallel engine has already merged
-its workers' chunks in column order, so recording there *is* the
-cross-worker merge, the same way it records the encode's ``omp.*``
-counters.
+Every encode path in the repo funnels through ``batch_omp_matrix``
+(serial and column-parallel encodes, ``encode_columns`` behind the
+serving micro-batcher, and the ``StreamingEncoder``'s per-block calls).
+It calls :func:`record_encode` exactly once per encode with the
+dictionary object it was handed plus the finished CSC coefficients — at
+that point it has already merged its workers' panels in column order,
+so recording there *is* the cross-worker merge, the same way it records
+the encode's ``omp.*`` counters.
 
 Recording is opt-in per dictionary: :func:`watch_dictionary` attaches an
 :class:`AtomStats` accumulator to a dictionary object (keyed on object
@@ -19,8 +18,8 @@ default encode hot path pays nothing.
 SPMD rank programs build their own per-rank ``Dictionary`` objects, so
 nothing records rank-side; instead :class:`AtomStats` is a plain
 mergeable delta (`merge` / `to_deltas` / `from_deltas`) that ranks
-gather to rank 0, mirroring how ``repro.observability`` merges counter
-deltas across processes.  ``merge`` composes *sequentially* — the
+gather to rank 0, mirroring how ``repro.observability`` merges
+telemetry across processes.  ``merge`` composes *sequentially* — the
 merged ``last_used`` generations read as if the other side's encodes
 replayed after ours — which keeps every field exactly equal to a serial
 run over the concatenated columns.
@@ -247,9 +246,9 @@ def watched_stats(d) -> AtomStats | None:
 def record_encode(d, c) -> None:
     """Encoder hook: fold ``c`` into ``d``'s accumulator, if watched.
 
-    Called exactly once per encode by ``batch_omp_matrix`` (serial
-    path) and ``parallel_batch_omp_matrix`` (parent, post-merge).  When
-    nothing is watched this is one falsy-dict check.
+    Called exactly once per encode by ``batch_omp_matrix``, in the
+    calling process after the column ranges are merged, at every worker
+    count.  When nothing is watched this is one falsy-dict check.
     """
     if not _WATCHED:
         return

@@ -108,7 +108,6 @@ class MicroBatcher:
                  max_batch: int = 64, max_wait_ms: float = 2.0,
                  max_queue: int = 512, timeout_ms: float = 1000.0,
                  cost_model: CostModel | None = None,
-                 workers: int | None = None,
                  backend: str | None = None) -> None:
         if max_batch < 1:
             raise ServeError(400, f"max_batch must be >= 1, got {max_batch}")
@@ -118,7 +117,6 @@ class MicroBatcher:
         self.max_queue = int(max_queue)
         self.timeout = max(float(timeout_ms), 1.0) / 1e3
         self.cost_model = cost_model
-        self.workers = workers
         self.backend = resolve_backend(backend).name
         self._queue: asyncio.Queue[_Pending] | None = None
         self._task: asyncio.Task | None = None
@@ -305,7 +303,7 @@ class MicroBatcher:
         """
         return encode_columns(generation.transform.dictionary,
                               columns, eps, max_atoms=max_atoms,
-                              workers=self.workers, backend=self.backend)
+                              backend=self.backend)
 
     def _account(self, group: list[_Pending], results, loop) -> None:
         """Per-tenant request metrics + Eq. 2/3 cost accounting.

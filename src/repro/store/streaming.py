@@ -51,7 +51,11 @@ from repro.core.fastdict import (
 from repro.core.transform import TransformedData
 from repro.errors import CheckpointError, ValidationError
 from repro.linalg.kernels import resolve_backend
-from repro.linalg.omp import ENCODE_BLOCK_COLS, batch_omp_matrix
+from repro.linalg.omp import (
+    ENCODE_BLOCK_COLS,
+    batch_omp_matrix,
+    check_encode_args,
+)
 from repro.sparse.csc import CSCMatrix
 from repro.store.column_store import (
     ColumnStore,
@@ -60,7 +64,7 @@ from repro.store.column_store import (
     fsync_dir,
 )
 from repro.utils.rng import as_generator, derive_seed
-from repro.utils.validation import check_fraction, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "CheckpointError",
@@ -262,7 +266,9 @@ class StreamingEncoder:
             raise ValidationError(
                 "StreamingEncoder needs a ColumnStore; use exd_transform "
                 "directly for in-memory arrays")
-        self.eps = check_fraction(eps, "eps", inclusive_low=True)
+        # Validated before anything is written: a checkpoint holding a
+        # value the encode rejects could neither finish nor resume.
+        self.eps, self.max_atoms = check_encode_args(eps, max_atoms)
         m, n = store.shape
         if dictionary is None:
             size = check_positive_int(size, "size")
@@ -278,7 +284,6 @@ class StreamingEncoder:
         self.size = int(size)
         self.seed = seed
         self.normalize = bool(normalize)
-        self.max_atoms = None if max_atoms is None else int(max_atoms)
         self.strict = bool(strict)
         self.workers = workers
         self.backend = resolve_backend(backend).name

@@ -252,13 +252,11 @@ class TestEncodeArgumentValidation:
     @pytest.mark.parametrize("eps", [-0.5, float("nan")])
     def test_parallel_path_rejects_bad_eps(self, problem, eps):
         from repro.errors import ValidationError
-        from repro.linalg import batch_omp_matrix, parallel_batch_omp_matrix
+        from repro.linalg import batch_omp_matrix
 
         d, a = problem
         with pytest.raises(ValidationError, match="eps"):
             batch_omp_matrix(d, a, eps, workers=2)
-        with pytest.raises(ValidationError, match="eps"):
-            parallel_batch_omp_matrix(d, a, eps, workers=2)
 
     @pytest.mark.parametrize("eps", [-0.5, float("nan")])
     def test_batch_omp_solve_rejects_bad_eps(self, problem, eps):

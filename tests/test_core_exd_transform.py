@@ -109,16 +109,6 @@ class TestExdDistributed:
             exd_transform_distributed(a, a.shape[1] + 1, 0.05,
                                       small_cluster, seed=4)
 
-    def test_matches_serial_with_workers(self, union_data, small_cluster):
-        a, _ = union_data
-        base, _, _ = exd_transform_distributed(a, 30, 0.05, small_cluster,
-                                               seed=4)
-        par, _, _ = exd_transform_distributed(a, 30, 0.05, small_cluster,
-                                              seed=4, workers=2)
-        assert np.array_equal(base.coefficients.data, par.coefficients.data)
-        assert np.array_equal(base.coefficients.indices,
-                              par.coefficients.indices)
-
 
 class TestTransformedData:
     @pytest.fixture()

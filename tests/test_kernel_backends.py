@@ -38,7 +38,7 @@ from repro.linalg.kernels import (
     use_backend,
 )
 from repro.linalg.kernels.numpy_ref import NumpyBackend, batch_omp_column
-from repro.linalg.parallel_omp import parallel_batch_omp_matrix
+from repro.linalg.omp import ENCODE_BLOCK_COLS
 
 
 def _backend_or_skip(name: str) -> OMPKernelBackend:
@@ -231,9 +231,25 @@ class TestSelectionPrecedence:
         with pytest.raises(KernelError):
             set_default_backend("no-such-backend")
 
-    def test_unavailable_backend_reports_reason(self):
-        with pytest.raises(KernelError, match="unavailable"):
-            get_backend("cupy")
+    def test_unavailable_backend_reports_reason(self, monkeypatch):
+        import repro.linalg.kernels as kernels
+
+        class MissingDependency(OMPKernelBackend):
+            name = "missing-dependency"
+
+            @classmethod
+            def available(cls):
+                return False
+
+            @classmethod
+            def unavailable_reason(cls):
+                return "its module is not importable"
+
+        monkeypatch.setattr(kernels, "_REGISTRY", dict(kernels._REGISTRY))
+        register_backend(MissingDependency)
+        with pytest.raises(KernelError, match="registered but unavailable: "
+                                              "its module is not importable"):
+            get_backend("missing-dependency")
 
     def test_bad_type_raises(self):
         with pytest.raises(KernelError):
@@ -422,12 +438,12 @@ class TestEndToEndConsistency:
     def test_serial_vs_parallel_identical(self, name, union_data):
         _backend_or_skip(name)
         a, _ = union_data
+        a = np.tile(a, 4)  # 640 columns: three panels, so workers fork
         rng = np.random.default_rng(9)
         d = rng.standard_normal((a.shape[0], 10))
         d /= np.linalg.norm(d, axis=0, keepdims=True)
         c1, s1 = batch_omp_matrix(d, a, eps=0.4, backend=name)
-        c2, s2 = parallel_batch_omp_matrix(d, a, eps=0.4, workers=2,
-                                           backend=name)
+        c2, s2 = batch_omp_matrix(d, a, eps=0.4, workers=2, backend=name)
         np.testing.assert_array_equal(c1.indptr, c2.indptr)
         np.testing.assert_array_equal(c1.indices, c2.indices)
         np.testing.assert_array_equal(c1.data, c2.data)
@@ -506,9 +522,9 @@ class TestDictOperatorConformance:
         _backend_or_skip(name)
         fd, _ = self._exact_operator(24, seed=7)
         rng = np.random.default_rng(8)
-        a = rng.standard_normal((24, 80))
+        # Three panels: the workers run the operator's apply_t themselves.
+        a = rng.standard_normal((24, 2 * ENCODE_BLOCK_COLS + 1))
         c1, _ = batch_omp_matrix(fd, a, 0.4, backend=name)
-        c2, _ = parallel_batch_omp_matrix(fd, a, 0.4, workers=2,
-                                          backend=name)
+        c2, _ = batch_omp_matrix(fd, a, 0.4, workers=2, backend=name)
         np.testing.assert_array_equal(c1.indices, c2.indices)
         np.testing.assert_array_equal(c1.data, c2.data)

@@ -16,7 +16,7 @@ import pytest
 
 from repro import observability as obs
 from repro.core.alpha import measure_alpha
-from repro.linalg.omp import batch_omp_matrix
+from repro.linalg.omp import ENCODE_BLOCK_COLS, batch_omp_matrix
 from repro.linalg.parallel_omp import GRAM_CACHE, _can_fork
 from repro.mpi import run_spmd
 
@@ -189,25 +189,58 @@ class TestSpans:
         assert obs.SPANS.snapshot()["rank_work"]["count"] == 4
 
 
+    @pytest.mark.skipif(not _can_fork(), reason="forking unavailable")
+    def test_rank_telemetry_matches_across_backends(self):
+        """Rank processes send their counters, histograms and spans back
+        like rank threads record them: the same root-level span paths
+        even under a span the caller holds open, the same totals."""
+
+        def program(comm):
+            with obs.span("rank_work"):
+                obs.inc("rank.items", comm.Get_rank() + 1)
+                obs.observe("rank.value", float(comm.Get_rank()))
+                return obs.current_span_path()
+
+        def observe(backend):
+            with obs.observed():
+                with obs.span("outer"):
+                    res = run_spmd(2, program, backend=backend)
+                spans = {p: e["count"]
+                         for p, e in obs.SPANS.snapshot().items()}
+                metrics = obs.REGISTRY.snapshot()
+            return (res.returns, spans, metrics["counters"],
+                    metrics["histograms"])
+
+        threads, processes = observe("threads"), observe("processes")
+        assert threads[0] == ["rank_work"] * 2
+        assert threads[1] == {"outer": 1, "rank_work": 2}
+        assert threads[2]["rank.items"] == 3
+        assert threads[3]["rank.value"]["count"] == 2
+        assert processes == threads
+
+
 class TestWorkerStatMerge:
+    # Three encode panels, so a workers=2 encode maps three panel tasks.
+    COLS = 2 * ENCODE_BLOCK_COLS + 1
+
     def test_parallel_encode_merges_worker_counters(self, rng):
-        """Fork-pool workers report per-chunk deltas; the parent total
+        """Fork-pool workers encode whole panels; the parent total
         must equal the serial count: every column exactly once."""
         d = rng.standard_normal((16, 32))
         d /= np.linalg.norm(d, axis=0)
-        a = rng.standard_normal((16, 60))
+        a = rng.standard_normal((16, self.COLS))
         obs.enable()
         batch_omp_matrix(d, a, 0.3, workers=2)
         merged = obs.REGISTRY.counter("omp.columns_encoded")
         assert merged == a.shape[1]
         assert obs.REGISTRY.counter("omp.iterations") > 0
-        assert obs.REGISTRY.counter("pool.chunks") >= 2
+        assert obs.REGISTRY.counter("pool.chunks") == 3
         assert obs.REGISTRY.gauge("pool.workers") == 2
 
     def test_serial_and_parallel_counts_agree(self, rng):
         d = rng.standard_normal((12, 24))
         d /= np.linalg.norm(d, axis=0)
-        a = rng.standard_normal((12, 40))
+        a = rng.standard_normal((12, self.COLS))
         with obs.observed():
             batch_omp_matrix(d, a, 0.3)
             serial = dict(obs.REGISTRY.snapshot()["counters"])

@@ -173,15 +173,16 @@ class TestEncodeHooks:
             unwatch_dictionary(dictionary)
 
     def test_parallel_counts_equal_serial(self, data, dictionary):
-        """workers>1 goes through the fork-pool engine; the parent-side
+        """workers>1 encodes panels in forked workers; the parent-side
         post-merge hook must record exactly the serial counts."""
+        wide = np.tile(data, 3)  # 660 columns: three panels, so it forks
         serial = watch_dictionary(dictionary.atoms)
-        batch_omp_matrix(dictionary.atoms, data, EPS)
+        batch_omp_matrix(dictionary.atoms, wide, EPS)
         unwatch_dictionary(dictionary.atoms)
 
         parallel = watch_dictionary(dictionary.atoms)
         try:
-            batch_omp_matrix(dictionary.atoms, data, EPS, workers=2)
+            batch_omp_matrix(dictionary.atoms, wide, EPS, workers=2)
         finally:
             unwatch_dictionary(dictionary.atoms)
         np.testing.assert_array_equal(parallel.counts, serial.counts)

@@ -1,10 +1,11 @@
-"""Tests for the shared-memory parallel Batch-OMP encoding engine.
+"""Tests for the column-parallel Batch-OMP encode and its fork map.
 
-The engine's contract is *bit-identical* output: for every worker count
-and chunk size, the merged CSC factors and the ``BatchOMPStats`` must
-equal the serial path exactly (``data``, ``indices``, ``indptr``, and
-every stats field).  These tests pin that contract on random Gaussian
-data and on union-of-subspaces data, and cover the Gram cache, the
+The encode's contract is *bit-identical* output: for every worker
+count, the merged CSC factors and the ``BatchOMPStats`` must equal the
+serial path exactly (``data``, ``indices``, ``indptr``, and every stats
+field).  These tests pin that contract on random Gaussian data (one
+panel, and three panels so that workers really fork) and on
+union-of-subspaces data, and cover the Gram cache, the
 worker-count resolution, the ``fork_map`` contract (order, failures,
 dead workers, cleanup), and the parallel dense solver used by the
 baselines.
@@ -19,36 +20,53 @@ import time
 import numpy as np
 import pytest
 
+from repro import observability as obs
 from repro.core.alpha import measure_alpha
 from repro.core.cost_model import CostModel
 from repro.core.tuner import tune_dictionary_size
 from repro.core.dictionary import sample_dictionary
 from repro.core.exd import exd_transform
 from repro.errors import DictionaryError, ValidationError
-from repro.linalg.omp import batch_omp_matrix
+from repro.linalg import parallel_omp
+from repro.linalg.omp import ENCODE_BLOCK_COLS, batch_omp_matrix
 from repro.linalg.parallel_omp import (
     GRAM_CACHE,
     GramCache,
     _can_fork,
-    default_chunk_size,
     fork_map,
-    parallel_batch_omp_matrix,
     parallel_least_squares,
     resolve_workers,
 )
 
+needs_fork = pytest.mark.skipif(not _can_fork(),
+                                reason="forking unavailable here")
+
+
+def _gaussian(n, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((24, 16))
+    d /= np.linalg.norm(d, axis=0, keepdims=True)
+    coefs = np.zeros((16, n))
+    for j in range(n):
+        support = rng.choice(16, size=4, replace=False)
+        coefs[support, j] = rng.standard_normal(4)
+    a = d @ coefs + 0.01 * rng.standard_normal((24, n))
+    return d, a
+
 
 @pytest.fixture(scope="module")
 def gaussian_problem():
-    rng = np.random.default_rng(42)
-    d = rng.standard_normal((24, 16))
-    d /= np.linalg.norm(d, axis=0, keepdims=True)
-    coefs = np.zeros((16, 60))
-    for j in range(60):
-        support = rng.choice(16, size=4, replace=False)
-        coefs[support, j] = rng.standard_normal(4)
-    a = d @ coefs + 0.01 * rng.standard_normal((24, 60))
-    return d, a
+    return _gaussian(60, 42)
+
+
+#: Three encode panels (the last one partial): the smallest input on
+#: which a column-parallel encode has more than one task to fork.
+MULTI_PANEL_COLS = 2 * ENCODE_BLOCK_COLS + 1
+
+
+@pytest.fixture(scope="module")
+def multi_panel_problem():
+    return _gaussian(MULTI_PANEL_COLS, 43)
 
 
 @pytest.fixture(scope="module")
@@ -75,53 +93,74 @@ def _assert_identical(serial, candidate):
 
 
 class TestSerialParallelEquality:
-    @pytest.mark.parametrize("problem", ["gaussian_problem", "union_problem"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("chunk_size", [None, 1, 7, 13])
-    def test_csc_bit_identical(self, problem, workers, chunk_size, request):
+    @pytest.mark.parametrize("problem", ["gaussian_problem", "union_problem",
+                                         "multi_panel_problem"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_csc_bit_identical(self, problem, workers, request):
         d, a = request.getfixturevalue(problem)
         eps = 0.1
         serial = batch_omp_matrix(d, a, eps)
-        par = parallel_batch_omp_matrix(d, a, eps, workers=workers,
-                                        chunk_size=chunk_size)
+        par = batch_omp_matrix(d, a, eps, workers=workers)
         _assert_identical(serial, par)
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_through_batch_omp_matrix_kwarg(self, gaussian_problem, workers):
-        d, a = gaussian_problem
-        serial = batch_omp_matrix(d, a, 0.05)
-        par = batch_omp_matrix(d, a, 0.05, workers=workers)
+    @needs_fork
+    def test_multi_panel_encode_forks(self, multi_panel_problem,
+                                      monkeypatch):
+        """One task per panel, mapped over forked workers: if this
+        encode stopped forking, every equality test above would still
+        pass, so count the forked maps directly."""
+        d, a = multi_panel_problem
+        forked = []
+        real_fork_run = parallel_omp._fork_run
+
+        def counting_fork_run(fn, payloads, shared, workers):
+            forked.append((len(payloads), workers))
+            return real_fork_run(fn, payloads, shared, workers)
+
+        monkeypatch.setattr(parallel_omp, "_fork_run", counting_fork_run)
+        serial = batch_omp_matrix(d, a, 0.1)
+        assert forked == []
+        with obs.observed():
+            par = batch_omp_matrix(d, a, 0.1, workers=2)
+            assert obs.REGISTRY.counter("pool.chunks") == 3
+        assert forked == [(3, 2)]
         _assert_identical(serial, par)
 
-    def test_max_atoms_respected(self, gaussian_problem):
-        d, a = gaussian_problem
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_max_atoms_respected(self, multi_panel_problem, workers):
+        d, a = multi_panel_problem
         serial = batch_omp_matrix(d, a, 0.0, max_atoms=2)
-        par = parallel_batch_omp_matrix(d, a, 0.0, max_atoms=2, workers=3)
+        par = batch_omp_matrix(d, a, 0.0, max_atoms=2, workers=workers)
         _assert_identical(serial, par)
         assert np.max(np.diff(par[0].indptr)) <= 2
 
-    def test_strict_failure_matches_serial(self):
-        # One atom cannot code generic 2-D signals: both paths must
-        # raise, and the parallel path must report the same message
-        # (smallest failing column) regardless of chunking.
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_strict_failure_matches_serial(self, workers):
+        # One atom codes a 2-D signal only along its own direction:
+        # columns off that line fail.  Failures sit in panels 1 and 2
+        # only, so the parallel path must report the serial message (the
+        # smallest failing column) although two tasks fail.
         d = np.array([[1.0], [0.0]])
-        a = np.array([[1.0, 2.0, 0.5], [1.0, -1.0, 3.0]])
+        a = np.tile([[1.0], [0.0]], (1, MULTI_PANEL_COLS))
+        a[:, [ENCODE_BLOCK_COLS + 5, 2 * ENCODE_BLOCK_COLS]] = \
+            [[2.0, 0.5], [-1.0, 3.0]]
         with pytest.raises(DictionaryError) as serial_exc:
             batch_omp_matrix(d, a, eps=0.01, strict=True)
         with pytest.raises(DictionaryError) as par_exc:
-            parallel_batch_omp_matrix(d, a, eps=0.01, strict=True,
-                                      workers=2, chunk_size=1)
+            batch_omp_matrix(d, a, eps=0.01, strict=True, workers=workers)
         assert str(par_exc.value) == str(serial_exc.value)
+        assert "target 2.236e-02" in str(serial_exc.value)  # column 261
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
-            parallel_batch_omp_matrix(np.ones((3, 2)), np.ones((4, 5)), 0.1,
-                                      workers=2)
+            batch_omp_matrix(np.ones((3, 2)), np.ones((4, 5)), 0.1,
+                             workers=2)
 
-    def test_empty_matrix(self, gaussian_problem):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_empty_matrix(self, gaussian_problem, workers):
         d, _ = gaussian_problem
         a = np.empty((24, 0))
-        c, stats = parallel_batch_omp_matrix(d, a, 0.1, workers=2)
+        c, stats = batch_omp_matrix(d, a, 0.1, workers=workers)
         assert c.shape == (16, 0) and c.nnz == 0
         assert stats.columns == 0
 
@@ -137,11 +176,6 @@ class TestResolveWorkers:
 
     def test_negative_means_all_cores(self):
         assert resolve_workers(-1) >= 1
-
-    def test_default_chunk_size(self):
-        assert default_chunk_size(100, 4) == 7  # ceil(100 / 16)
-        assert default_chunk_size(1, 8) == 1
-        assert default_chunk_size(0, 4) == 1
 
 
 class TestGramCache:
@@ -248,10 +282,6 @@ class TestForkMapBackendPinning:
         finally:
             os.environ.pop("REPRO_OMP_BACKEND", None)
         assert names == ["numpy"] * 6
-
-
-needs_fork = pytest.mark.skipif(not _can_fork(),
-                                reason="forking unavailable here")
 
 
 def _tag(shared, payload):

@@ -390,6 +390,17 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="resume=True"):
             self._encoder(store, ck).run()
 
+    @pytest.mark.parametrize("max_atoms", [0, -3, 2.5])
+    def test_bad_max_atoms_rejected_before_any_write(self, store, tmp_path,
+                                                     max_atoms):
+        """A checkpoint holding a cap the encode rejects could neither
+        finish nor resume, so the constructor refuses it (as
+        ``exd_transform`` does) before anything reaches the disk."""
+        ck = tmp_path / "ck"
+        with pytest.raises(ValidationError, match="max_atoms"):
+            self._encoder(store, ck, max_atoms=max_atoms)
+        assert not ck.exists()
+
     def test_param_mismatch_refused(self, store, tmp_path):
         ck = tmp_path / "ck"
         self._encoder(store, ck).run()
