@@ -25,13 +25,6 @@ from repro.apps.clustering import (
     spectral_embedding,
     subspace_cluster,
 )
-from repro.apps.partitioning import cut_size, fiedler_vector, spectral_bisection
-from repro.apps.patch_denoising import (
-    PatchDenoiseResult,
-    build_patch_dictionary,
-    denoise_image_patches,
-    estimate_noise_sigma,
-)
 from repro.apps.classification import (
     LSSVMModel,
     make_classification_problem,
@@ -59,13 +52,6 @@ __all__ = [
     "kmeans",
     "spectral_embedding",
     "subspace_cluster",
-    "cut_size",
-    "fiedler_vector",
-    "spectral_bisection",
-    "PatchDenoiseResult",
-    "build_patch_dictionary",
-    "denoise_image_patches",
-    "estimate_noise_sigma",
     "LSSVMModel",
     "make_classification_problem",
     "train_ls_svm",

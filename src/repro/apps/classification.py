@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.gram import TransformedGramOperator
 from repro.errors import ValidationError
 from repro.solvers.conjugate_gradient import conjugate_gradient
-from repro.utils.rng import as_generator, derive_seed
+from repro.utils.rng import as_generator
 from repro.utils.validation import check_matrix, check_vector
 
 

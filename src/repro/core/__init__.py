@@ -26,8 +26,6 @@ from repro.core.cost_model import (
     runtime_cost,
     energy_cost,
     memory_cost_per_node,
-    dense_runtime_cost,
-    dense_memory_per_node,
 )
 from repro.core.alpha import (
     AlphaEstimate,
@@ -37,14 +35,11 @@ from repro.core.alpha import (
     measure_alpha_batch,
 )
 from repro.core.tuner import (
-    FastTuningResult,
     TuningResult,
     find_min_feasible_size,
     tune_dictionary_size,
-    tune_dictionary_size_distributed,
-    tune_fast_dictionary,
 )
-from repro.core.evolve import ExtendResult, extend_transform, extend_transform_distributed
+from repro.core.evolve import ExtendResult, extend_transform
 from repro.core.framework import ExtDict
 from repro.core.io import load_transform, save_transform
 from repro.online.sketch import (
@@ -75,25 +70,19 @@ __all__ = [
     "runtime_cost",
     "energy_cost",
     "memory_cost_per_node",
-    "dense_runtime_cost",
-    "dense_memory_per_node",
     "AlphaEstimate",
     "measure_alpha",
     "measure_alpha_batch",
     "alpha_curve",
     "estimate_alpha_from_subsets",
     "TuningResult",
-    "FastTuningResult",
     "SketchConfig",
     "SketchedTuningResult",
     "tune_dictionary_size",
-    "tune_dictionary_size_distributed",
     "tune_dictionary_size_sketched",
-    "tune_fast_dictionary",
     "find_min_feasible_size",
     "ExtendResult",
     "extend_transform",
-    "extend_transform_distributed",
     "ExtDict",
     "load_transform",
     "save_transform",

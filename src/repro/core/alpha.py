@@ -65,8 +65,8 @@ class AlphaEstimate:
 def trial_seeds(seed, size: int, trials: int) -> list[int]:
     """Dictionary seeds of the trials of ``measure_alpha(seed=seed)``.
 
-    Every estimator that must reproduce :func:`measure_alpha`'s draws —
-    the serial and the distributed tuner included — derives them here.
+    Every estimator that must reproduce :func:`measure_alpha`'s draws
+    derives them here.
     """
     return [derive_seed(seed, t, size) for t in range(trials)]
 

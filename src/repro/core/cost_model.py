@@ -6,9 +6,6 @@ simple — it ignores memory hierarchy, load imbalance and latency — and
 Fig. 8 verifies that it still predicts the *trend* of the simulated
 (and, on the authors' cluster, measured) runtime.
 
-Dense-baseline counterparts (``AᵀA x`` with column-partitioned ``A``)
-are provided for the Fig. 7 / Table III comparisons.
-
 Factored-dictionary extension: every Eq. 2–4 entry point accepts
 ``transform_nnz`` — the cost of one ``Dᵀx`` apply.  The paper treats
 this as the fixed dense constant ``M·L``; a sparse-factor fast
@@ -90,33 +87,12 @@ def memory_cost_per_node(m: int, l: int, nnz: int, n: int, p: int, *,
     return tnnz + (nnz + n) / p
 
 
-def dense_runtime_cost(m: int, n: int, p: int, rbf_time: float) -> float:
-    """Eq. 2 for the untransformed baseline ``AᵀA x``.
-
-    With column-partitioned ``A``: ``2·M·N/P`` multiplies and an
-    M-word reduce+broadcast.
-    """
-    _check(m, 0, p)
-    if n < 1:
-        raise ValidationError(f"N must be >= 1, got {n}")
-    return 2 * m * n / p + m * rbf_time
-
-
-def dense_memory_per_node(m: int, n: int, p: int) -> float:
-    """Per-node words to hold the dense column block plus the iterate."""
-    _check(m, 0, p)
-    if n < 1:
-        raise ValidationError(f"N must be >= 1, got {n}")
-    return (m * n + n) / p
-
-
 @dataclass
 class CostModel:
     """Eqs. 2–4 bound to a concrete platform.
 
     ``rbf`` defaults to the analytic calibration of the cluster's
-    machine spec; pass a measured :class:`RbfRatios` to use host
-    micro-benchmarks instead.
+    machine spec; pass an explicit :class:`RbfRatios` to override it.
     """
 
     cluster: ClusterConfig
@@ -160,14 +136,6 @@ class CostModel:
         """Eq. 4 per-node words."""
         return memory_cost_per_node(m, l, nnz, n, self.p,
                                     transform_nnz=transform_nnz)
-
-    def dense_time(self, m: int, n: int) -> float:
-        """Baseline Eq. 2 for ``AᵀA x``."""
-        return dense_runtime_cost(m, n, self.p, self.rbf.time)
-
-    def dense_time_seconds(self, m: int, n: int) -> float:
-        """Baseline predicted seconds per update."""
-        return self.dense_time(m, n) / self.cluster.machine.flop_rate
 
     def objective(self, kind: str, m: int, l: int, nnz: int, n: int, *,
                   transform_nnz: int | None = None) -> float:

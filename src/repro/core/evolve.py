@@ -26,7 +26,11 @@ from repro.core.dictionary import Dictionary
 from repro.core.exd import exd_transform, normalize_columns, _rescale_columns
 from repro.core.transform import TransformedData
 from repro.errors import ValidationError
-from repro.linalg.omp import ENCODE_BLOCK_COLS, batch_omp_matrix
+from repro.linalg.omp import (
+    ENCODE_BLOCK_COLS,
+    batch_omp_matrix,
+    check_block_width,
+)
 from repro.sparse.csc import CSCMatrix
 from repro.utils.validation import check_matrix
 
@@ -65,12 +69,8 @@ def _stream_new_column_codes(transform: TransformedData, store,
     """
     eps = transform.eps
     normalize = bool(transform.meta.get("normalized", True))
-    width = block_width if block_width is not None \
-        else 4 * ENCODE_BLOCK_COLS
-    if width <= 0 or width % ENCODE_BLOCK_COLS:
-        raise ValidationError(
-            f"block_width must be a positive multiple of "
-            f"{ENCODE_BLOCK_COLS}, got {block_width}")
+    width = 4 * ENCODE_BLOCK_COLS if block_width is None \
+        else check_block_width(block_width)
     gram = transform.dictionary.gram()
     parts, masks = [], []
     for _lo, _hi, raw in store.iter_blocks(width):
@@ -198,59 +198,3 @@ def extend_transform(transform: TransformedData, a_new, *, seed=None,
                         appended_columns=int(ok_idx.size),
                         extended_columns=int(fail_idx.size),
                         dictionary_grew=True)
-
-
-def _extend_rank_program(comm, transform, a_new, seed,
-                         new_dictionary_size, workers=None):
-    """Rank program: phase 1 of the update (coding new columns against
-    the existing dictionary) is embarrassingly parallel over columns.
-
-    Rank 0 runs the (rare) dictionary-growth fallback serially and
-    returns the combined result.
-    """
-    rank, p = comm.Get_rank(), comm.Get_size()
-    n_new = a_new.shape[1]
-    lo, hi = rank * n_new // p, (rank + 1) * n_new // p
-    block = a_new[:, lo:hi]
-    normalize = bool(transform.meta.get("normalized", True))
-    if normalize and block.shape[1]:
-        work, _ = normalize_columns(block)
-    else:
-        work = block
-    if block.shape[1]:
-        _, stats = batch_omp_matrix(transform.dictionary, work,
-                                    transform.eps, workers=workers)
-        comm.charge_flops(stats.flops)
-    comm.barrier()
-    if rank != 0:
-        return None
-    # Root finalises with the serial path (phase 2 dictionary growth is
-    # a small remainder by assumption; re-coding phase 1 serially keeps
-    # the result byte-identical to extend_transform).
-    return extend_transform(transform, a_new, seed=seed,
-                            new_dictionary_size=new_dictionary_size,
-                            workers=workers)
-
-
-def extend_transform_distributed(transform: TransformedData, a_new,
-                                 cluster, *, seed=None,
-                                 new_dictionary_size: int | None = None,
-                                 workers: int | None = None):
-    """Evolving-data update with phase-1 coding costed on the cluster.
-
-    Returns ``(ExtendResult, SPMDResult)`` — the simulated time covers
-    the parallel OMP coding of the new columns (the dominant cost of an
-    update; Sec. V-E notes the whole point is avoiding a full
-    re-transform).
-    """
-    from repro.mpi.runtime import run_spmd
-    from repro.store.column_store import is_column_store
-
-    if is_column_store(a_new):
-        raise ValidationError(
-            "extend_transform_distributed needs an in-memory A_new; "
-            "stream store-backed updates through extend_transform")
-    a_new = check_matrix(a_new, "A_new")
-    result = run_spmd(0, _extend_rank_program, transform, a_new, seed,
-                      new_dictionary_size, workers, cluster=cluster)
-    return result.returns[0], result

@@ -24,7 +24,12 @@ from repro import observability as obs
 from repro.core.dictionary import Dictionary, sample_dictionary
 from repro.core.transform import TransformedData
 from repro.errors import ValidationError
-from repro.linalg.omp import batch_omp_matrix, blocked_column_norms
+from repro.linalg.omp import (
+    batch_omp_matrix,
+    blocked_column_norms,
+    check_block_width,
+    check_encode_args,
+)
 from repro.sparse.csc import CSCMatrix
 from repro.utils.rng import as_generator, derive_seed
 from repro.utils.validation import check_fraction, check_matrix, check_positive_int
@@ -336,9 +341,13 @@ def exd_transform_distributed(a, size: int, eps: float, cluster, *,
     from repro.mpi.runtime import run_spmd
     from repro.store.column_store import is_column_store, matrix_shape
 
+    # Every argument a rank would reject is checked here, so a bad value
+    # raises ValidationError before any rank starts.
+    eps, max_atoms = check_encode_args(eps, max_atoms)
     if is_column_store(a):
-        eps = check_fraction(eps, "eps", inclusive_low=True)
         size = check_positive_int(size, "size")
+        if block_width is not None:
+            block_width = check_block_width(block_width)
         n = matrix_shape(a)[1]
         if size > n:
             raise ValidationError(
@@ -355,7 +364,6 @@ def exd_transform_distributed(a, size: int, eps: float, cluster, *,
             "block_width requires a ColumnStore input; in-memory arrays "
             "are encoded in one pass per rank")
     a = check_matrix(a, "A")
-    eps = check_fraction(eps, "eps", inclusive_low=True)
     size = check_positive_int(size, "size")
     if size > a.shape[1]:
         # Fail fast with the serial path's clear error instead of dying

@@ -20,7 +20,6 @@ from repro.data.images import (
     psnr,
     add_noise_snr,
     image_to_patches,
-    patches_to_image,
     synthetic_image,
 )
 from repro.data.registry import (
@@ -41,7 +40,6 @@ __all__ = [
     "psnr",
     "add_noise_snr",
     "image_to_patches",
-    "patches_to_image",
     "synthetic_image",
     "DATASETS",
     "DatasetBundle",

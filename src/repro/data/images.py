@@ -59,33 +59,6 @@ def image_to_patches(image: np.ndarray, patch: int,
     return np.stack(cols, axis=1)
 
 
-def patches_to_image(patches: np.ndarray, shape: tuple[int, int],
-                     patch: int, stride: int | None = None) -> np.ndarray:
-    """Invert :func:`image_to_patches`, averaging overlapping pixels."""
-    patches = np.asarray(patches, dtype=np.float64)
-    h, w = shape
-    stride = stride or patch
-    ys = list(range(0, h - patch + 1, stride))
-    xs = list(range(0, w - patch + 1, stride))
-    if patches.shape != (patch * patch, len(ys) * len(xs)):
-        raise ValidationError(
-            f"patches shape {patches.shape} inconsistent with image "
-            f"{shape}, patch={patch}, stride={stride}")
-    accum = np.zeros(shape)
-    count = np.zeros(shape)
-    k = 0
-    for y in ys:
-        for x in xs:
-            accum[y:y + patch, x:x + patch] += \
-                patches[:, k].reshape(patch, patch)
-            count[y:y + patch, x:x + patch] += 1.0
-            k += 1
-    covered = count > 0
-    out = np.zeros(shape)
-    out[covered] = accum[covered] / count[covered]
-    return out
-
-
 def add_noise_snr(signal: np.ndarray, snr_db: float,
                   *, seed=None) -> np.ndarray:
     """Add white Gaussian noise at the given signal-to-noise ratio (dB)."""

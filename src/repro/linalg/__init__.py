@@ -1,5 +1,5 @@
-"""Numerical building blocks: OMP sparse coding, pseudo-inverse and
-power iteration.
+"""Numerical building blocks: OMP sparse coding, dense least squares
+and power iteration.
 
 The OMP routines are the computational core of ExD (Alg. 1 step 3); the
 Batch-OMP variant with progressive Cholesky updates is the one the paper
@@ -28,7 +28,7 @@ from repro.linalg.parallel_omp import (
     parallel_least_squares,
     resolve_workers,
 )
-from repro.linalg.pseudo_inverse import pseudo_inverse, least_squares_coefficients
+from repro.linalg.pseudo_inverse import least_squares_coefficients
 from repro.linalg.power_iteration import power_iteration, top_eigenpairs
 from repro.linalg.norms import frobenius_norm, relative_frobenius_error
 
@@ -49,7 +49,6 @@ __all__ = [
     "cached_gram",
     "parallel_least_squares",
     "resolve_workers",
-    "pseudo_inverse",
     "least_squares_coefficients",
     "power_iteration",
     "top_eigenpairs",

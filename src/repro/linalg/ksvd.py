@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.linalg.omp import batch_omp_matrix
 from repro.sparse.csc import CSCMatrix
 from repro.utils.rng import as_generator

@@ -260,6 +260,22 @@ def check_encode_args(eps, max_atoms) -> tuple[float, int | None]:
     return eps, max_atoms
 
 
+def check_block_width(block_width) -> int:
+    """Validate an explicit streaming block width.
+
+    A width must be a positive multiple of :data:`ENCODE_BLOCK_COLS`:
+    then every streamed block starts on an encode panel boundary, and
+    the streamed encode keeps the in-memory encode's bits.
+    """
+    block_width = check_positive_int(block_width, "block_width")
+    if block_width % ENCODE_BLOCK_COLS:
+        raise ValidationError(
+            f"block_width must be a multiple of {ENCODE_BLOCK_COLS} to "
+            f"stay aligned with the in-memory encode panels, got "
+            f"{block_width}")
+    return block_width
+
+
 def _strict_failure(eps: float, l: int, res_sq: float,
                     a_sq: float) -> DictionaryError:
     target_sq = (eps * float(np.sqrt(a_sq))) ** 2

@@ -1,4 +1,4 @@
-"""Pseudo-inverse and dense least-squares coefficient computation.
+"""Dense least-squares coefficients ``C = D⁺A``.
 
 Subspace-sampling baselines (RCSS, oASIS) form their coefficient matrix
 as ``C = D⁺ A`` with ``D⁺ = (DᵀD)⁻¹Dᵀ`` (paper Sec. V-C footnote), which
@@ -9,31 +9,8 @@ coding.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro.errors import ValidationError
-
-
-def pseudo_inverse(d, *, rcond: float = 1e-12) -> np.ndarray:
-    """Moore–Penrose pseudo-inverse of a tall (or square) dictionary.
-
-    Uses the normal-equations form when ``DᵀD`` is well conditioned
-    (cheaper, matches the paper's footnote) and falls back to SVD-based
-    ``pinv`` otherwise.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim != 2:
-        raise ValidationError(f"dictionary must be 2-D, got {d.ndim}-D")
-    gram = d.T @ d
-    try:
-        cho = sla.cho_factor(gram, check_finite=False)
-        ident = np.eye(gram.shape[0])
-        inv = sla.cho_solve(cho, ident, check_finite=False)
-        if not np.all(np.isfinite(inv)):
-            raise np.linalg.LinAlgError("non-finite Cholesky solve")
-        return inv @ d.T
-    except (np.linalg.LinAlgError, sla.LinAlgError):
-        return np.linalg.pinv(d, rcond=rcond)
 
 
 def least_squares_coefficients(d, a) -> np.ndarray:

@@ -15,9 +15,6 @@ drifts under it:
   of the bytes of the exact subset estimator.
 * :mod:`repro.online.maintainer` — :class:`OnlineMaintainer`, the
   end-to-end loop binding the four together over a ``ColumnStore``.
-* :mod:`repro.online.serve_loop` — the serving daemon's background
-  maintenance thread, hot-swapping refreshed generations through the
-  versioned registry.
 
 Submodules are imported lazily: ``repro.online.stats`` must stay
 importable from ``repro.linalg`` without dragging the rest of the
@@ -44,7 +41,6 @@ _EXPORTS = {
     "tune_dictionary_size_sketched": "sketch",
     "MaintenanceConfig": "maintainer",
     "OnlineMaintainer": "maintainer",
-    "MaintenanceLoop": "serve_loop",
 }
 
 __all__ = sorted(_EXPORTS)

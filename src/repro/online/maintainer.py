@@ -36,11 +36,7 @@ from repro import observability as obs
 from repro.errors import ValidationError
 from repro.linalg.omp import batch_omp_matrix
 from repro.online.drift import AlphaCurve, DriftConfig, DriftMonitor
-from repro.online.stats import (
-    AtomStats,
-    unwatch_dictionary,
-    watch_dictionary,
-)
+from repro.online.stats import unwatch_dictionary, watch_dictionary
 from repro.online.update import OnlineUpdateConfig, OnlineUpdater
 from repro.utils.rng import as_generator, derive_seed
 

@@ -11,8 +11,7 @@ provides the synthetic equivalent:
   machine spec, with intra- vs inter-node link selection;
 * :class:`VirtualClock` — per-rank simulated time and energy;
 * cost helpers for point-to-point and collective operations;
-* calibration of ``R_bf^time`` / ``R_bf^energy`` from a spec or from
-  host micro-benchmarks;
+* calibration of ``R_bf^time`` / ``R_bf^energy`` from a spec;
 * presets matching the paper's four platform shapes.
 """
 
@@ -26,11 +25,7 @@ from repro.platform.cost import (
     collective_energy,
     COLLECTIVE_ALGORITHMS,
 )
-from repro.platform.calibrate import (
-    calibrate_from_spec,
-    calibrate_measured,
-    RbfRatios,
-)
+from repro.platform.calibrate import calibrate_from_spec, RbfRatios
 from repro.platform.presets import (
     xeon_x5660_like,
     paper_platforms,
@@ -48,7 +43,6 @@ __all__ = [
     "collective_energy",
     "COLLECTIVE_ALGORITHMS",
     "calibrate_from_spec",
-    "calibrate_measured",
     "RbfRatios",
     "xeon_x5660_like",
     "paper_platforms",

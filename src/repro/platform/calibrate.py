@@ -1,16 +1,10 @@
 """Calibration of the word-per-FLOP ratios ``R_bf``.
 
 The paper "experimentally measures the platform-specific relative cost
-of arithmetic vs. communication (R_bf^time)" (Sec. VIII).  Here the
-ratio can be obtained two ways:
-
-* :func:`calibrate_from_spec` — analytically from a
-  :class:`~repro.platform.cluster.ClusterConfig` (used by the simulator,
-  exactly consistent with its clock advance rules);
-* :func:`calibrate_measured` — a genuine micro-benchmark on the host
-  (BLAS dot-product rate vs. memory-copy rate), mirroring what the
-  authors did on the iDataPlex.  Useful when running the library on real
-  shared-memory hardware.
+of arithmetic vs. communication (R_bf^time)" (Sec. VIII).  Here
+:func:`calibrate_from_spec` derives the ratio analytically from a
+:class:`~repro.platform.cluster.ClusterConfig`, so it is exactly
+consistent with the simulator's clock advance rules.
 
 ``R_bf`` converts a word of communication into its FLOP-equivalent cost,
 so Eq. 2's objective ``(M·L + nnz(C))/P + min(M, L)·R_bf`` is expressed
@@ -19,14 +13,10 @@ in a single unit.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import PlatformError
 from repro.platform.cluster import ClusterConfig
-from repro.platform.machine import BYTES_PER_WORD
 
 
 @dataclass(frozen=True)
@@ -61,36 +51,3 @@ def calibrate_from_spec(cluster: ClusterConfig) -> RbfRatios:
     else:
         rbf_energy = 0.0
     return RbfRatios(time=rbf_time, energy=rbf_energy)
-
-
-def calibrate_measured(*, size: int = 1 << 20, repeats: int = 3,
-                       seed: int = 0) -> RbfRatios:
-    """Micro-benchmark the host: dot-product FLOP rate vs copy bandwidth.
-
-    Returns the host's own ``R_bf^time`` (energy is not measurable without
-    counters, so the time ratio is reused — on modern hardware the two
-    track each other closely, which is also the paper's assumption when
-    it says runtime analysis "directly translates" to energy).
-    """
-    if size < 1024:
-        raise PlatformError(f"size too small to time reliably: {size}")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(size)
-    b = rng.standard_normal(size)
-    out = np.empty_like(a)
-
-    def best_time(fn) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return max(best, 1e-9)
-
-    dot_seconds = best_time(lambda: float(a @ b))
-    copy_seconds = best_time(lambda: np.copyto(out, a))
-
-    flop_rate = (2 * size) / dot_seconds            # mult+add per element
-    copy_bw_words = (size * BYTES_PER_WORD) / copy_seconds / BYTES_PER_WORD
-    rbf = flop_rate / copy_bw_words
-    return RbfRatios(time=rbf, energy=rbf)

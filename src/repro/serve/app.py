@@ -63,7 +63,6 @@ class ServeApp:
             else MicroBatcher(self.registry, **batcher_kwargs)
         self.default_tenant = default_tenant
         self.started_at = time.time()
-        self.maintenance = None  # MaintenanceLoop, via attach_maintenance
         self._server: asyncio.AbstractServer | None = None
         self._routes = {
             ("GET", "/healthz"): self._healthz,
@@ -97,28 +96,12 @@ class ServeApp:
         return sock[0], sock[1]
 
     async def stop(self) -> None:
-        """Stop accepting, halt maintenance, drain the batcher."""
+        """Stop accepting, then drain the batcher."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self.maintenance is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.maintenance.stop)
         await self.batcher.stop()
-
-    def attach_maintenance(self, loop, *, start: bool = True):
-        """Attach a :class:`~repro.online.serve_loop.MaintenanceLoop`.
-
-        The loop's drift status and atom-usage summaries appear under
-        ``meta.maintenance`` in ``GET /v1/metrics``; it is stopped with
-        the app.  ``start=False`` attaches without starting the thread
-        (tests drive ``run_once`` directly).
-        """
-        self.maintenance = loop
-        if start:
-            loop.start()
-        return loop
 
     async def run_forever(self, host: str, port: int) -> None:
         """CLI entry: start and serve until cancelled."""
@@ -334,7 +317,5 @@ class ServeApp:
             "max_wait_ms": self.batcher.max_wait * 1e3,
             "backend": self.batcher.backend,
         }
-        if self.maintenance is not None:
-            meta["maintenance"] = self.maintenance.status()
         report = obs.collect_report(command="serve", meta=meta)
         return report.to_dict()

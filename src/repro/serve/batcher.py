@@ -30,7 +30,6 @@ latency/throughput decision, never a correctness one.
 from __future__ import annotations
 
 import asyncio
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 

@@ -16,12 +16,7 @@ from repro.solvers.power_method import (
     distributed_power_method,
     power_method_transformed,
 )
-from repro.solvers.distributed import (
-    distributed_elastic_net,
-    distributed_lasso,
-    distributed_ridge,
-)
-from repro.solvers.fista import fista, estimate_lipschitz
+from repro.solvers.distributed import distributed_lasso
 from repro.solvers.conjugate_gradient import conjugate_gradient
 from repro.solvers.sparse_pca import (
     hard_truncate,
@@ -30,8 +25,6 @@ from repro.solvers.sparse_pca import (
 )
 
 __all__ = [
-    "fista",
-    "estimate_lipschitz",
     "conjugate_gradient",
     "hard_truncate",
     "sparse_principal_components",
@@ -46,6 +39,4 @@ __all__ = [
     "distributed_power_method",
     "power_method_transformed",
     "distributed_lasso",
-    "distributed_ridge",
-    "distributed_elastic_net",
 ]

@@ -1,8 +1,7 @@
-"""Distributed proximal-Adagrad regression on a local Gram worker.
+"""Distributed proximal-Adagrad LASSO on a local Gram worker.
 
-One generic rank program serves LASSO, ridge and elastic net: the
-smooth gradient is ``2(Gx − Aᵀy) + 2λ₂x`` and the ℓ1 part enters
-through the proximal soft-threshold with weight λ₁.  The per-iteration
+The smooth gradient is ``2(Gx − Aᵀy)`` and the ℓ1 part enters through
+the proximal soft-threshold with weight λ.  The per-iteration
 schedule matches Algorithm 2 plus two scalars in one allreduce for the
 stopping rule: Adagrad and the prox are coordinate-wise, so optimiser
 state stays fully local to each rank's column block — no extra vector
@@ -28,14 +27,14 @@ from repro.utils.validation import check_positive_int
 NORM_FLOOR = 1e-12
 
 
-def regression_program(comm, worker_factory, y: np.ndarray, lam1: float,
-                       lam2: float, *, lr: float = 0.1,
-                       max_iter: int = 500, tol: float = 1e-6):
+def regression_program(comm, worker_factory, y: np.ndarray, lam: float,
+                       *, lr: float = 0.1, max_iter: int = 500,
+                       tol: float = 1e-6):
     """Rank program: distributed proximal gradient descent.
 
     ``y`` (length M) is broadcast once, each rank forms its block of
-    ``Aᵀy`` locally, then iterates Gram updates.  ``lam1`` weights the
-    ℓ1 prox, ``lam2`` the ℓ2 gradient term.
+    ``Aᵀy`` locally, then iterates Gram updates.  ``lam`` weights the
+    ℓ1 prox.
     """
     worker = worker_factory(comm)
     rank = comm.Get_rank()
@@ -51,14 +50,12 @@ def regression_program(comm, worker_factory, y: np.ndarray, lam1: float,
     for it in range(1, max_iter + 1):
         gx_i = worker.apply(x_i)
         grad_i = 2.0 * (gx_i - aty_i)
-        if lam2:
-            grad_i += 2.0 * lam2 * x_i
         comm.charge_flops(2 * n_i)
         if n_i:
             step = adagrad.step(grad_i)
-            if lam1:
+            if lam:
                 rates = adagrad.effective_rates()
-                x_new = soft_threshold(x_i - step, lam1 * rates)
+                x_new = soft_threshold(x_i - step, lam * rates)
             else:
                 x_new = x_i - step
             comm.charge_flops(6 * n_i)
@@ -82,17 +79,22 @@ def regression_program(comm, worker_factory, y: np.ndarray, lam1: float,
     return None
 
 
-def _run(cluster, worker_factory, y, lam1: float, lam2: float, *,
-         lr: float, max_iter: int, tol: float) -> tuple[LassoResult, object]:
+def distributed_lasso(cluster, worker_factory, y: np.ndarray, lam: float, *,
+                      lr: float = 0.1, max_iter: int = 500,
+                      tol: float = 1e-6) -> tuple[LassoResult, object]:
+    """Distributed LASSO: ``min ‖Ax−y‖² + λ‖x‖₁`` on the emulated cluster.
+
+    Returns ``(LassoResult, SPMDResult)`` — the latter carries simulated
+    time/energy for the Fig. 9 comparison.
+    """
     from repro.mpi.runtime import run_spmd
 
     check_positive_int(max_iter, "max_iter")
-    if lam1 < 0 or lam2 < 0:
-        raise ValidationError(
-            f"penalties must be >= 0, got lam1={lam1}, lam2={lam2}")
+    if lam < 0:
+        raise ValidationError(f"lam must be >= 0, got {lam}")
     with obs.span("solver.distributed"):
         result = run_spmd(0, regression_program, worker_factory,
-                          np.asarray(y, dtype=np.float64), lam1, lam2,
+                          np.asarray(y, dtype=np.float64), lam,
                           lr=lr, max_iter=max_iter, tol=tol,
                           cluster=cluster)
     x, iterations, converged, history = result.returns[0]
@@ -102,32 +104,3 @@ def _run(cluster, worker_factory, y, lam1: float, lam2: float, *,
         obs.inc("solver.distributed.converged")
     return (LassoResult(x=x, iterations=iterations, converged=converged,
                         history=history), result)
-
-
-def distributed_lasso(cluster, worker_factory, y: np.ndarray, lam: float, *,
-                      lr: float = 0.1, max_iter: int = 500,
-                      tol: float = 1e-6) -> tuple[LassoResult, object]:
-    """Distributed LASSO: ``min ‖Ax−y‖² + λ‖x‖₁`` on the emulated cluster.
-
-    Returns ``(LassoResult, SPMDResult)`` — the latter carries simulated
-    time/energy for the Fig. 9 comparison.
-    """
-    return _run(cluster, worker_factory, y, lam, 0.0, lr=lr,
-                max_iter=max_iter, tol=tol)
-
-
-def distributed_ridge(cluster, worker_factory, y: np.ndarray, lam: float, *,
-                      lr: float = 0.1, max_iter: int = 500,
-                      tol: float = 1e-6) -> tuple[LassoResult, object]:
-    """Distributed ridge: ``min ‖Ax−y‖² + λ‖x‖₂²``."""
-    return _run(cluster, worker_factory, y, 0.0, lam, lr=lr,
-                max_iter=max_iter, tol=tol)
-
-
-def distributed_elastic_net(cluster, worker_factory, y: np.ndarray,
-                            lam1: float, lam2: float, *, lr: float = 0.1,
-                            max_iter: int = 500,
-                            tol: float = 1e-6) -> tuple[LassoResult, object]:
-    """Distributed elastic net: ``min ‖Ax−y‖² + λ₁‖x‖₁ + λ₂‖x‖₂²``."""
-    return _run(cluster, worker_factory, y, lam1, lam2, lr=lr,
-                max_iter=max_iter, tol=tol)

@@ -12,7 +12,6 @@ containers from scratch rather than using :mod:`scipy.sparse` so that
 """
 
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.csr import CSRMatrix
 from repro.sparse.builder import ColumnBuilder
 from repro.sparse.ops import (
     csc_matvec,
@@ -26,7 +25,6 @@ from repro.sparse.ops import (
 
 __all__ = [
     "CSCMatrix",
-    "CSRMatrix",
     "ColumnBuilder",
     "csc_matvec",
     "csc_rmatvec",

@@ -132,15 +132,6 @@ class CSCMatrix:
         return sp.csc_matrix((self.data, self.indices, self.indptr),
                              shape=self.shape)
 
-    def transpose_csr(self) -> "CSRMatrix":
-        """Return the transpose, reinterpreted as CSR with no copy of logic.
-
-        CSC arrays of ``C`` are exactly the CSR arrays of ``Cᵀ``.
-        """
-        from repro.sparse.csr import CSRMatrix
-        return CSRMatrix(self.data, self.indices, self.indptr,
-                         (self.shape[1], self.shape[0]), check=False)
-
     # ------------------------------------------------------------------
     # structural operations
     # ------------------------------------------------------------------

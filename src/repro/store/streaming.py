@@ -54,6 +54,7 @@ from repro.linalg.kernels import resolve_backend
 from repro.linalg.omp import (
     ENCODE_BLOCK_COLS,
     batch_omp_matrix,
+    check_block_width,
     check_encode_args,
 )
 from repro.sparse.csc import CSCMatrix
@@ -300,13 +301,7 @@ class StreamingEncoder:
         self._width_pinned = (block_width is not None
                               or memory_budget_bytes is not None)
         if block_width is not None:
-            block_width = check_positive_int(block_width, "block_width")
-            if block_width % ENCODE_BLOCK_COLS:
-                raise ValidationError(
-                    f"block_width must be a multiple of "
-                    f"{ENCODE_BLOCK_COLS} to stay aligned with the "
-                    f"in-memory encode panels, got {block_width}")
-            self.block_width = int(block_width)
+            self.block_width = check_block_width(block_width)
         elif memory_budget_bytes is not None:
             self.block_width = plan_block_width(m, self.size,
                                                 memory_budget_bytes, n=n)

@@ -1,6 +1,6 @@
 """Small shared utilities: RNG handling, validation, timing, tables."""
 
-from repro.utils.rng import as_generator, spawn_generators, derive_seed
+from repro.utils.rng import as_generator, derive_seed
 from repro.utils.validation import (
     check_matrix,
     check_vector,
@@ -14,7 +14,6 @@ from repro.utils.timeline import render_timeline, trace_summary
 
 __all__ = [
     "as_generator",
-    "spawn_generators",
     "derive_seed",
     "check_matrix",
     "check_vector",

@@ -9,8 +9,6 @@ Reproducibility across processes matters because the SPMD algorithms
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 SeedLike = "int | None | np.random.Generator | np.random.SeedSequence"
@@ -43,25 +41,3 @@ def derive_seed(seed, *key: int) -> int:
         base = int(seed)
     ss = np.random.SeedSequence(entropy=base, spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def spawn_generators(seed, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` statistically independent generators from one seed."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if isinstance(seed, np.random.Generator):
-        seeds = seed.integers(0, 2**63 - 1, size=n)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
-def permutation_without(rng: np.random.Generator, n: int, size: int,
-                        exclude: Sequence[int] = ()) -> np.ndarray:
-    """Sample ``size`` distinct indices from ``range(n)`` avoiding ``exclude``."""
-    exclude_set = set(int(e) for e in exclude)
-    pool = np.array([i for i in range(n) if i not in exclude_set], dtype=np.int64)
-    if size > pool.size:
-        raise ValueError(
-            f"cannot sample {size} distinct indices from {pool.size} candidates")
-    return rng.choice(pool, size=size, replace=False)

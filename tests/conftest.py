@@ -1,12 +1,20 @@
-"""Shared fixtures: small deterministic datasets and platforms."""
+"""Shared fixtures: small deterministic datasets and platforms, and the
+Hypothesis profile tier-1 runs with."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data.subspaces import union_of_subspaces
 from repro.platform import ClusterConfig, MachineSpec, platform_by_name
+
+# Tier-1 draws the same Hypothesis examples on every run, and keeps no
+# example database that would replay an earlier run's failure.  Pass
+# --hypothesis-profile=default to explore new random examples instead.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,12 @@
-"""Subspace clustering and spectral partitioning tests."""
+"""Subspace clustering tests."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.apps import (
     clustering_accuracy,
     code_affinity,
-    cut_size,
-    fiedler_vector,
     kmeans,
-    spectral_bisection,
     spectral_embedding,
     subspace_cluster,
 )
@@ -124,52 +120,3 @@ class TestClusteringAccuracy:
         with pytest.raises(ValidationError):
             clustering_accuracy(np.arange(9), np.arange(9))
 
-
-class TestSpectralPartitioning:
-    @pytest.fixture(scope="class")
-    def two_communities(self):
-        g = nx.planted_partition_graph(2, 20, 0.8, 0.05, seed=3)
-        truth = np.array([0] * 20 + [1] * 20)
-        return g, truth
-
-    def test_fiedler_eigenpair(self, two_communities):
-        g, _ = two_communities
-        lam2, vec = fiedler_vector(g, seed=0)
-        lap = nx.laplacian_matrix(g).toarray().astype(float)
-        exact = np.sort(np.linalg.eigvalsh(lap))[1]
-        assert lam2 == pytest.approx(exact, rel=1e-3, abs=1e-6)
-        assert abs(float(np.ones(40) @ vec)) < 1e-6  # orthogonal to 1
-
-    def test_bisection_recovers_communities(self, two_communities):
-        g, truth = two_communities
-        labels = spectral_bisection(g, seed=0)
-        acc = max(np.mean(labels == truth), np.mean(labels != truth))
-        assert acc > 0.9
-
-    def test_cut_smaller_than_random(self, two_communities):
-        g, _ = two_communities
-        labels = spectral_bisection(g, seed=0)
-        rng = np.random.default_rng(0)
-        random_cut = cut_size(g, rng.integers(0, 2, size=40))
-        assert cut_size(g, labels) < random_cut
-
-    def test_path_graph_split(self):
-        g = nx.path_graph(10)
-        labels = spectral_bisection(g, seed=0)
-        # A path's Fiedler split separates the two halves contiguously.
-        assert cut_size(g, labels) == 1.0
-
-    def test_adjacency_array_input(self):
-        adj = np.array(nx.to_numpy_array(nx.cycle_graph(6)))
-        lam2, _ = fiedler_vector(adj, seed=0)
-        assert lam2 == pytest.approx(1.0, rel=1e-3)  # 2-2cos(2pi/6)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            fiedler_vector(np.ones((2, 3)))
-        with pytest.raises(ValidationError):
-            fiedler_vector(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asym
-        with pytest.raises(ValidationError):
-            fiedler_vector(np.zeros((1, 1)))
-        with pytest.raises(ValidationError):
-            cut_size(np.zeros((3, 3)), [0, 1])

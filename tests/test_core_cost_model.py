@@ -4,8 +4,6 @@ import pytest
 
 from repro.core import (
     CostModel,
-    dense_memory_per_node,
-    dense_runtime_cost,
     energy_cost,
     memory_cost_per_node,
     runtime_cost,
@@ -37,12 +35,6 @@ class TestClosedForms:
     def test_eq4_value(self):
         assert memory_cost_per_node(10, 5, 100, 200, 4) == \
             pytest.approx(50 + 300 / 4)
-
-    def test_dense_baseline(self):
-        assert dense_runtime_cost(100, 1000, 4, 2.0) == \
-            pytest.approx(2 * 100 * 1000 / 4 + 200)
-        assert dense_memory_per_node(100, 1000, 4) == \
-            pytest.approx((100 * 1000 + 1000) / 4)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -87,11 +79,6 @@ class TestCostModel:
             model.memory(10, 5, 7, 100)
         with pytest.raises(PlatformError):
             model.objective("latency", 10, 5, 7, 100)
-
-    def test_transform_beats_dense_when_sparse(self, model):
-        # With nnz << M·N and L << N the transform must win Eq. 2.
-        m, n, l, nnz = 100, 10_000, 50, 20_000
-        assert model.time(m, l, nnz) < model.dense_time(m, n)
 
     def test_memory_monotone_in_nnz(self, model):
         lo = model.memory(100, 50, 1000, 500)

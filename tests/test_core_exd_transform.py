@@ -109,6 +109,44 @@ class TestExdDistributed:
             exd_transform_distributed(a, a.shape[1] + 1, 0.05,
                                       small_cluster, seed=4)
 
+    @pytest.fixture()
+    def no_ranks(self, monkeypatch):
+        """Fail the test if any SPMD rank program is launched."""
+        import repro.mpi.runtime as runtime
+
+        def launched(*_args, **_kwargs):
+            pytest.fail("a rank started before validation failed")
+
+        monkeypatch.setattr(runtime, "run_spmd", launched)
+
+    @pytest.fixture(scope="class")
+    def store(self, union_data, tmp_path_factory):
+        from repro.store import ColumnStore
+
+        a, _ = union_data
+        path = tmp_path_factory.mktemp("exd-dist") / "store"
+        return ColumnStore.from_matrix(str(path), a, chunk_width=64)
+
+    @pytest.mark.parametrize("max_atoms", [0, -3, 2.5])
+    @pytest.mark.parametrize("source", ["array", "store"])
+    def test_bad_max_atoms_fast_fails(self, union_data, store, small_cluster,
+                                      no_ranks, max_atoms, source):
+        # Regression: a bad cap used to raise RankFailedError from inside
+        # a rank; the serial encode raises ValidationError.
+        a = union_data[0] if source == "array" else store
+        with pytest.raises(ValidationError, match="max_atoms"):
+            exd_transform_distributed(a, 30, 0.05, small_cluster, seed=4,
+                                      max_atoms=max_atoms)
+
+    @pytest.mark.parametrize("width", [0, -5, 2.5, 16, 100])
+    def test_bad_store_block_width_fast_fails(self, store, small_cluster,
+                                              no_ranks, width):
+        # The store branch follows StreamingEncoder's width rule: a
+        # positive multiple of the 256-column encode panel.
+        with pytest.raises(ValidationError, match="block_width"):
+            exd_transform_distributed(store, 30, 0.05, small_cluster,
+                                      seed=4, block_width=width)
+
 
 class TestTransformedData:
     @pytest.fixture()

@@ -13,7 +13,7 @@ Covers the DictOperator thread end to end:
   ``D̂ = S₁…S_J`` with residual ``ρ = ‖D−D̂‖_F/‖D‖_F`` reconstructs the
   original data to ``ε + ρ·‖D̂C‖_F/‖A‖_F`` (triangle inequality), which
   the suite checks in its documented form;
-* factored Eq. 2–4 cost-model terms and the RC-aware tuner;
+* factored Eq. 2–4 cost-model terms;
 * evolve-path growth of a factored base into a block operator;
 * persistence (io v2, streaming checkpoints) and the serve registry.
 """
@@ -43,10 +43,6 @@ from repro.core.fastdict import (
     operator_to_arrays,
 )
 from repro.core.gram import TransformedGramOperator
-from repro.core.tuner import (
-    predicted_factor_nnz,
-    tune_fast_dictionary,
-)
 from repro.errors import ValidationError
 from repro.linalg.norms import relative_frobenius_error
 from repro.linalg.omp import batch_omp_matrix, blocked_dta
@@ -450,40 +446,6 @@ class TestFactoredCostModel:
             cm.objective("memory", 100, 200, 5000, 1000)
         assert cm.time_seconds(100, 200, 5000, transform_nnz=4000) < \
             cm.time_seconds(100, 200, 5000)
-
-
-class TestTuneFastDictionary:
-    def test_grid_and_best(self, noisy_union_data):
-        a, _ = noisy_union_data
-        cm = CostModel(platform_by_name("1x1"))
-        res = tune_fast_dictionary(a, 0.3, cm,
-                                   rc_grid=(0.25, 0.5, 1.0), seed=3)
-        assert res.best_rc in (0.25, 0.5, 1.0)
-        rcs = {rc for (_, rc, *_rest) in res.table}
-        assert rcs == {0.25, 0.5, 1.0}
-        # on one processor the time objective is pure arithmetic, so
-        # a smaller RC always wins at the same L
-        best_l = res.best_size
-        costs = {rc: res.cost_of(best_l, rc) for rc in (0.25, 0.5, 1.0)}
-        assert costs[0.25] <= costs[0.5] <= costs[1.0]
-        assert res.objective == "time"
-        assert res.cost_of(res.best_size, res.best_rc) == pytest.approx(
-            min(cost for (_, _, _, _, cost) in res.table))
-
-    def test_predicted_factor_nnz_floor(self):
-        assert predicted_factor_nnz(100, 200, 0.5) == 10000
-        # never below one entry per row and column
-        assert predicted_factor_nnz(100, 200, 1e-9) == 300
-
-    def test_store_input(self, noisy_union_data, tmp_path):
-        from repro.store import ColumnStore
-
-        a, _ = noisy_union_data
-        store = ColumnStore.from_matrix(tmp_path / "s", a)
-        cm = CostModel(platform_by_name("1x1"))
-        res = tune_fast_dictionary(store, 0.3, cm, rc_grid=(0.5, 1.0),
-                                   seed=3)
-        assert res.best_size >= 1
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for pseudo-inverse, power iteration and norms."""
+"""Unit tests for dense least squares, power iteration and norms."""
 
 import numpy as np
 import pytest
@@ -8,27 +8,12 @@ from repro.linalg import (
     frobenius_norm,
     least_squares_coefficients,
     power_iteration,
-    pseudo_inverse,
     relative_frobenius_error,
     top_eigenpairs,
 )
 
 
 class TestPseudoInverse:
-    def test_well_conditioned(self, rng):
-        d = rng.standard_normal((10, 4))
-        pinv = pseudo_inverse(d)
-        assert np.allclose(pinv @ d, np.eye(4), atol=1e-8)
-
-    def test_rank_deficient_falls_back(self):
-        d = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # rank 1
-        pinv = pseudo_inverse(d)
-        assert np.allclose(pinv, np.linalg.pinv(d), atol=1e-8)
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValidationError):
-            pseudo_inverse(np.ones(3))
-
     def test_least_squares_coefficients(self, rng):
         d = rng.standard_normal((12, 5))
         a = rng.standard_normal((12, 7))

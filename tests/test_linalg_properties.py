@@ -1,7 +1,7 @@
 """Hypothesis property tests for OMP — the invariants ExD relies on."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.linalg import batch_omp_solve, omp_solve
@@ -61,8 +61,18 @@ def test_looser_eps_never_denser(seed, eps):
     assert loose.support.size <= tight.support.size
 
 
+# Known defect: the kernels' residual recurrence ‖r‖² = ‖a‖² − cᵀ(Dᵀa)_I
+# cancels catastrophically and never reaches eps on these two seeds,
+# though the true residual of the returned code is ~1e-10.  The xfail is
+# strict: once the kernels are fixed, these examples pass, Hypothesis
+# reports that as an error, and both .xfail marks must go.
+_RESIDUAL_FLOOR = "Batch-OMP residual recurrence stalls above eps=1e-5"
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
+@example(seed=97).xfail(reason=_RESIDUAL_FLOOR, raises=AssertionError)
+@example(seed=9231).xfail(reason=_RESIDUAL_FLOOR, raises=AssertionError)
 def test_sparsity_bounded_by_subspace_dimension(seed):
     """Union-of-subspaces guarantee: a signal in a K-dim subspace whose
     spanning atoms are in D gets a ≤K-sparse code at ε=0."""

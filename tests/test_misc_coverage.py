@@ -86,8 +86,3 @@ class TestTimelineP2P:
         sender_row = art.splitlines()[1]
         assert ">" in sender_row
 
-
-class TestNoiseSigmaEdge:
-    def test_constant_image(self):
-        from repro.apps import estimate_noise_sigma
-        assert estimate_noise_sigma(np.full((16, 16), 0.5)) == 0.0

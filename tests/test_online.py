@@ -1,7 +1,7 @@
 """Drift-aware online maintenance (``repro.online``): atom usage
 statistics and their cross-path exactness, Gram-staleness regression
 tests, the Mensch/Mairal surrogate updater, drift detection, sketched
-tuning, and the end-to-end maintainer/serve loop."""
+tuning, and the end-to-end maintainer."""
 
 from __future__ import annotations
 
@@ -727,49 +727,3 @@ class TestExtDictMaintain:
         with pytest.raises(ValidationError):
             ext.maintain(None)
 
-
-class TestMaintenanceLoop:
-    def test_run_once_publishes_on_change(self, data):
-        from repro.online import MaintenanceLoop
-        from repro.serve.registry import DictionaryRegistry
-
-        registry = DictionaryRegistry()
-        transform = _fit(data)
-        registry.add_transform("t", transform, source="seed")
-        mnt = OnlineMaintainer(data, transform, seed=0,
-                               config=MaintenanceConfig(batch=64))
-        loop = MaintenanceLoop(registry, "t", mnt, interval_s=0.01)
-        try:
-            report = loop.run_once()
-            if report["atoms_refreshed"] or report["atoms_reseeded"]:
-                assert report["published"] is True
-                gen = registry.resolve("t")
-                assert gen.transform.meta.get("maintained") is True
-                np.testing.assert_array_equal(
-                    gen.transform.dictionary.atoms, mnt.updater.atoms)
-        finally:
-            mnt.close()
-
-    def test_thread_lifecycle(self, data):
-        from repro.online import MaintenanceLoop
-        from repro.serve.registry import DictionaryRegistry
-
-        registry = DictionaryRegistry()
-        transform = _fit(data)
-        registry.add_transform("t", transform, source="seed")
-        mnt = OnlineMaintainer(data, transform, seed=0,
-                               config=MaintenanceConfig(batch=32))
-        loop = MaintenanceLoop(registry, "t", mnt, interval_s=0.01)
-        try:
-            loop.start()
-            assert loop.running is True
-            deadline = 100
-            while loop.status()["last_step"] is None and deadline:
-                import time
-                time.sleep(0.02)
-                deadline -= 1
-            assert loop.status()["last_step"] is not None
-        finally:
-            loop.stop()
-            mnt.close()
-        assert loop.running is False

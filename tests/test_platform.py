@@ -10,7 +10,6 @@ from repro.platform import (
     MachineSpec,
     VirtualClock,
     calibrate_from_spec,
-    calibrate_measured,
     collective_energy,
     collective_time,
     p2p_energy,
@@ -155,14 +154,6 @@ class TestCalibration:
         assert r_single.time == pytest.approx(1e9 * 1e-8)   # intra
         assert r_multi.time == pytest.approx(1e9 * 2e-8)    # inter
         assert r_multi.energy == pytest.approx(4e-8 / 1e-9)
-
-    def test_measured_is_positive(self):
-        r = calibrate_measured(size=1 << 14, repeats=1)
-        assert r.time > 0
-
-    def test_measured_rejects_tiny(self):
-        with pytest.raises(PlatformError):
-            calibrate_measured(size=10)
 
 
 class TestPresets:

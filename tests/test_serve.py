@@ -667,47 +667,6 @@ class TestHTTP:
         assert not failures, failures[:3]
         assert 2 in seen_generations, "no request saw the new generation"
 
-    def test_metrics_expose_maintenance_status(self, data, transform):
-        """GET /v1/metrics embeds drift status and atom-usage summaries
-        while a maintenance loop is attached."""
-        from repro.online import (
-            MaintenanceConfig,
-            MaintenanceLoop,
-            OnlineMaintainer,
-        )
-
-        app = ServeApp(max_batch=8, max_wait_ms=1.0, observe=True)
-        app.registry.add_transform("default", transform)
-        observability.reset()
-        mnt = OnlineMaintainer(data, transform, seed=0,
-                               config=MaintenanceConfig(batch=32))
-        loop = MaintenanceLoop(app.registry, "default", mnt,
-                               interval_s=60.0)
-        try:
-            with _Server(app) as srv:
-                srv.app.attach_maintenance(loop, start=False)
-                loop.run_once()
-                loop.run_once()
-                status, report, _ = srv.request("GET", "/v1/metrics")
-                assert status == 200
-                maint = report["meta"]["maintenance"]
-                assert maint["tenant"] == "default"
-                assert maint["maintainer"]["steps"] == 2
-                usage = maint["maintainer"]["atom_usage"]
-                assert usage["atoms"] == transform.l
-                assert usage["columns"] > 0
-                counters = report["metrics"]["counters"]
-                assert counters.get("online.steps", 0) == 2
-                # the publication went through the registry hot-swap
-                if maint["published_generations"]:
-                    gens = srv.app.registry.describe()
-                    default = gens["tenants"]["default"]
-                    assert default["default_generation"] > 1
-        finally:
-            mnt.close()
-            observability.disable()
-            observability.reset()
-
     def test_pinned_generation_survives_swap(self, server, data,
                                              transform, transform_b,
                                              tmp_path):

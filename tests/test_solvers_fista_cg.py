@@ -1,11 +1,10 @@
-"""FISTA and conjugate-gradient solver tests."""
+"""Conjugate-gradient solver tests."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError, ValidationError
-from repro.solvers import conjugate_gradient, estimate_lipschitz, fista
-from repro.solvers.lasso import lasso_gd
+from repro.solvers import conjugate_gradient
 
 
 @pytest.fixture(scope="module")
@@ -16,52 +15,6 @@ def problem():
     x_true[[4, 20, 44]] = [2.0, -1.0, 1.5]
     y = a @ x_true
     return a, y, a.T @ a
-
-
-class TestFista:
-    def test_solves_lasso(self, problem):
-        a, y, gram = problem
-        res = fista(lambda v: gram @ v, a.T @ y, 50, lam=1e-3,
-                    max_iter=500)
-        assert res.converged
-        assert np.linalg.norm(a @ res.x - y) / np.linalg.norm(y) < 0.02
-
-    def test_faster_than_adagrad_gd(self, problem):
-        """Acceleration: fewer iterations to the same tolerance."""
-        a, y, gram = problem
-        res_f = fista(lambda v: gram @ v, a.T @ y, 50, lam=1e-3,
-                      max_iter=3000, tol=1e-8)
-        res_g = lasso_gd(lambda v: gram @ v, a.T @ y, 50, lam=1e-3,
-                         lr=0.3, max_iter=3000, tol=1e-8)
-        assert res_f.iterations < res_g.iterations
-
-    def test_explicit_lipschitz(self, problem):
-        a, y, gram = problem
-        lip = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
-        res = fista(lambda v: gram @ v, a.T @ y, 50, lam=1e-3,
-                    lipschitz=lip, max_iter=500)
-        assert res.converged
-
-    def test_lipschitz_estimate_is_upper_bound(self, problem):
-        _, _, gram = problem
-        est = estimate_lipschitz(lambda v: gram @ v, 50, seed=0)
-        exact = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
-        assert est >= exact * 0.99
-
-    def test_validation(self, problem):
-        a, y, gram = problem
-        with pytest.raises(ValidationError):
-            fista(lambda v: gram @ v, a.T @ y, 50, lam=-1.0)
-        with pytest.raises(ValidationError):
-            fista(lambda v: gram @ v, a.T @ y, 50, lam=0.1, lipschitz=0.0)
-        with pytest.raises(ValidationError):
-            fista(lambda v: gram @ v, np.ones(3), 50, lam=0.1)
-
-    def test_strong_penalty_gives_sparse(self, problem):
-        a, y, gram = problem
-        res = fista(lambda v: gram @ v, a.T @ y, 50, lam=50.0,
-                    max_iter=300)
-        assert np.sum(np.abs(res.x) > 1e-8) <= 10
 
 
 class TestConjugateGradient:

@@ -145,10 +145,6 @@ class TestArithmetic:
         sp = sample_csc.to_scipy()
         assert np.array_equal(sp.toarray(), sample_dense)
 
-    def test_transpose_csr(self, sample_csc, sample_dense):
-        csr = sample_csc.transpose_csr()
-        assert np.array_equal(csr.to_dense(), sample_dense.T)
-
     def test_allclose(self, sample_csc):
         assert sample_csc.allclose(sample_csc)
         assert not sample_csc.allclose(CSCMatrix.zeros(sample_csc.shape))

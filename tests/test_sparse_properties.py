@@ -69,11 +69,3 @@ def test_builder_reproduces_matrix(dense):
     for j in range(dense.shape[1]):
         b.add_dense_column(dense[:, j])
     assert np.array_equal(b.finalize().to_dense(), dense)
-
-
-@settings(max_examples=40, deadline=None)
-@given(dense_matrices())
-def test_transpose_csr_involution(dense):
-    c = CSCMatrix.from_dense(dense)
-    back = c.transpose_csr().transpose_csc()
-    assert np.array_equal(back.to_dense(), dense)

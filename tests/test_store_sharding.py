@@ -144,25 +144,3 @@ class TestStoreDistributedTransform:
             exd_transform_distributed(store, store.shape[1] + 1, 0.2,
                                       platform_by_name("1x4"))
 
-
-@needs_fork
-class TestStoreDistributedTuner:
-    def test_backends_agree_on_store_input(self, store):
-        """The distributed tuner reads each rank's candidate subsets
-        straight from the store; its table must be backend-invariant."""
-        from repro.core import CostModel
-        from repro.core.tuner import tune_dictionary_size_distributed
-
-        model = CostModel(platform_by_name("1x4"))
-        results = {
-            name: tune_dictionary_size_distributed(
-                store, 0.25, model, candidates=(24, 48), seed=3,
-                backend=name)
-            for name in ("threads", "processes")
-        }
-        t_tab, t_res = results["threads"]
-        p_tab, p_res = results["processes"]
-        assert t_tab.best_size == p_tab.best_size
-        assert t_tab.table == p_tab.table
-        assert t_res.traffic.snapshot() == p_res.traffic.snapshot()
-        assert t_res.simulated_time == p_res.simulated_time

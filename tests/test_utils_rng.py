@@ -1,14 +1,8 @@
 """Unit tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import (
-    as_generator,
-    derive_seed,
-    permutation_without,
-    spawn_generators,
-)
+from repro.utils.rng import as_generator, derive_seed
 
 
 class TestAsGenerator:
@@ -44,33 +38,3 @@ class TestDeriveSeed:
         s2 = derive_seed(gen, 1)
         assert s1 != s2  # generator advanced
 
-
-class TestSpawnGenerators:
-    def test_count_and_independence(self):
-        gens = spawn_generators(9, 3)
-        assert len(gens) == 3
-        draws = [g.integers(0, 2**30) for g in gens]
-        assert len(set(draws)) == 3
-
-    def test_deterministic(self):
-        a = [g.integers(0, 2**30) for g in spawn_generators(9, 2)]
-        b = [g.integers(0, 2**30) for g in spawn_generators(9, 2)]
-        assert a == b
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
-
-
-class TestPermutationWithout:
-    def test_excludes(self):
-        rng = np.random.default_rng(0)
-        out = permutation_without(rng, 10, 5, exclude=[0, 1, 2])
-        assert len(out) == 5
-        assert not set(out) & {0, 1, 2}
-        assert len(set(out.tolist())) == 5
-
-    def test_too_many_requested(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            permutation_without(rng, 4, 4, exclude=[0])
