@@ -26,7 +26,7 @@ def rankmap_transform(a, eps: float, *, seed=None,
     eps = check_fraction(eps, "eps", inclusive_low=True)
     l_min = find_min_feasible_size(a, eps, seed=seed,
                                    subset_fraction=subset_fraction,
-                                   trials=trials, workers=workers)
+                                   trials=trials)
     transform, stats = exd_transform(a, l_min, eps, seed=seed,
                                      workers=workers)
     # The subset-estimated L_min can occasionally be slightly below the

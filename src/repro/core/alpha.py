@@ -14,7 +14,9 @@ inside it on the column-parallel encode instead.  Either way every trial
 keeps its serial seed derivation (:func:`trial_seeds`), so the reported
 α values are identical to the serial path.  :func:`measure_alpha_batch`
 runs several estimates — different subsets, sizes and seeds — as one
-such batch; the tuner measures all its candidates through it.
+such batch; the tuner runs its feasibility probes and measures all its
+candidates through it, with strict trials that stop at the first panel
+holding a column that misses ε, since it drops infeasible sizes anyway.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.core.exd import exd_transform
-from repro.errors import ValidationError
+from repro.errors import DictionaryError, ValidationError
 from repro.linalg.parallel_omp import fork_map, resolve_workers
 from repro.utils.rng import as_generator, derive_seed
 from repro.utils.validation import check_fraction, check_positive_int
@@ -72,19 +74,27 @@ def trial_seeds(seed, size: int, trials: int) -> list[int]:
 
 
 def _alpha_task(shared, payload, workers=None):
-    """One independent ExD trial (fork-map task body)."""
+    """One independent ExD trial (fork-map task body).
+
+    A strict trial that cannot meet ε stops at its first failing panel
+    and returns ``(None, None, False)``: infeasible, with no α.
+    """
     from repro.store.column_store import take_columns
 
-    a, eps, compute_error = shared
+    a, eps, compute_error, strict = shared
     cols, size, seed = payload
     sub = a if cols is None else take_columns(a, cols)
-    transform, stats = exd_transform(sub, size, eps, seed=seed,
-                                     workers=workers)
+    try:
+        transform, stats = exd_transform(sub, size, eps, seed=seed,
+                                         strict=strict, workers=workers)
+    except DictionaryError:
+        return None, None, False
     err = transform.transformation_error(sub) if compute_error else None
     return transform.alpha, err, stats.all_converged
 
 
-def _run_alpha_tasks(a, payloads, eps, *, compute_error, workers):
+def _run_alpha_tasks(a, payloads, eps, *, compute_error, workers,
+                     strict=False):
     """Run ``(columns, size, seed)`` ExD trials, parallel across trials.
 
     A trial encodes ``a`` itself when ``columns`` is ``None`` and the
@@ -94,18 +104,18 @@ def _run_alpha_tasks(a, payloads, eps, *, compute_error, workers):
     payload order.
     """
     nworkers = resolve_workers(workers)
+    shared = (a, eps, compute_error, strict)
     obs.inc("alpha.trials", len(payloads))
     with obs.span("alpha.trials"):
         if len(payloads) == 1 and nworkers > 1:
-            return [_alpha_task((a, eps, compute_error), payloads[0],
-                                workers=workers)]
-        return fork_map(_alpha_task, payloads, (a, eps, compute_error),
-                        nworkers)
+            return [_alpha_task(shared, payloads[0], workers=workers)]
+        return fork_map(_alpha_task, payloads, shared, nworkers)
 
 
 def _collect(est: AlphaEstimate, results) -> AlphaEstimate:
     for alpha, err, ok in results:
-        est.values.append(alpha)
+        if alpha is not None:
+            est.values.append(alpha)
         if err is not None:
             est.errors.append(err)
         if not ok:
@@ -115,7 +125,8 @@ def _collect(est: AlphaEstimate, results) -> AlphaEstimate:
 
 def measure_alpha_batch(a, plan, eps: float, *, trials: int = 1,
                         compute_error: bool = False,
-                        workers: int | None = None) -> list[AlphaEstimate]:
+                        workers: int | None = None,
+                        strict: bool = False) -> list[AlphaEstimate]:
     """:func:`measure_alpha` for every ``(columns, size, seed)`` of ``plan``.
 
     Entry ``k`` of the result equals ``measure_alpha(A_k, size, eps,
@@ -127,6 +138,12 @@ def measure_alpha_batch(a, plan, eps: float, *, trials: int = 1,
     whole plan instead of one map per entry.  Each trial reads its own
     column subset, in the process that runs it, so the caller never
     holds more than one subset at a time.
+
+    ``strict=True`` is for callers that discard infeasible estimates
+    (the tuners): every trial runs a strict encode, which stops at the
+    first 256-column panel holding a column that misses ε, and such a
+    trial adds no α to its estimate.  ``feasible`` is the same either
+    way; so are the α values of estimates that stay feasible.
     """
     from repro.store.column_store import check_matrix_or_store
 
@@ -140,7 +157,7 @@ def measure_alpha_batch(a, plan, eps: float, *, trials: int = 1,
         payloads += [(cols, size, s) for s in trial_seeds(seed, size, trials)]
     results = _run_alpha_tasks(a, payloads, eps,
                                compute_error=compute_error,
-                               workers=workers)
+                               workers=workers, strict=strict)
     return [_collect(AlphaEstimate(size=size),
                      results[k * trials:(k + 1) * trials])
             for k, size in enumerate(sizes)]

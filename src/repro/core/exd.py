@@ -54,11 +54,12 @@ def normalize_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale columns to unit ℓ2 norm; zero columns stay zero.
 
     Returns the normalised matrix and the original norms.  The norms use
-    the encode engine's aligned blocked reduction
-    (:func:`repro.linalg.omp.blocked_column_norms`), so normalising a
-    whole matrix and normalising any aligned column block of it produce
-    bit-identical values — the invariant the out-of-core streaming
-    encoder relies on.
+    the encode engine's blocked reduction
+    (:func:`repro.linalg.omp.blocked_column_norms`), which sums each
+    column on its own, so a column gets the same bits whichever columns
+    it is normalised with: a whole matrix, an aligned block (the
+    out-of-core streaming encoder), a block starting mid-panel or a
+    gathered subset (the ranks of Algorithm 1).
     """
     norms = blocked_column_norms(np.asarray(a, dtype=np.float64))
     safe = np.where(norms > 0, norms, 1.0)
@@ -199,10 +200,6 @@ def _exd_rank_program(comm, a, size, eps, seed, normalize, max_atoms):
         raise ValidationError(
             f"cannot sample {size} distinct dictionary columns from "
             f"N={n} data columns")
-    if normalize:
-        a_work, norms = normalize_columns(a)
-    else:
-        a_work, norms = a, None
     # Step 0: rank 0 samples the index set and broadcasts it.
     if rank == 0:
         rng = as_generator(seed)
@@ -210,17 +207,24 @@ def _exd_rank_program(comm, a, size, eps, seed, normalize, max_atoms):
     else:
         idx = None
     idx = comm.bcast(idx, root=0)
-    # Step 1-2: every rank loads D and its column block.
-    dictionary = Dictionary(a_work[:, idx].copy(), idx)
+    # Step 1-2: every rank loads D and its column block.  Column norms
+    # do not depend on how columns are grouped, so normalising just
+    # these columns gives the whole-matrix normalisation's bits without
+    # a normalised copy of all N columns on every rank.
     lo = rank * n // p
     hi = (rank + 1) * n // p
-    block = a_work[:, lo:hi]
+    atoms, block = a[:, idx], a[:, lo:hi]
+    norms = None
+    if normalize:
+        atoms, _ = normalize_columns(atoms)
+        block, norms = normalize_columns(block)
+    dictionary = Dictionary(np.ascontiguousarray(atoms), idx)
     # Step 3: local Batch-OMP; FLOPs billed to this rank's clock.
     c_local, stats = batch_omp_matrix(dictionary, block, eps,
                                       max_atoms=max_atoms)
     comm.charge_flops(stats.flops)
     if normalize:
-        c_local = _rescale_columns(c_local, norms[lo:hi])
+        c_local = _rescale_columns(c_local, norms)
     # Assemble the full C on rank 0 (evaluation convenience; the
     # execution phase keeps C distributed).
     blocks = comm.gather((c_local, stats), root=0)

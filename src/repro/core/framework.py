@@ -67,17 +67,20 @@ class ExtDict:
     size:
         Fix the dictionary size L instead of tuning it.
     subset_fraction:
-        Fraction of columns the tuner's α estimation may touch.
+        Fraction of columns the tuner's α estimation may touch, in
+        (0, 1].
     distributed_preprocess:
         Run Algorithm 1 itself through the MPI emulator so its simulated
         cost is recorded (slower on the host; default off).
     workers:
-        Host-side worker count for the preprocessing hot path (tuning
-        trials and the Batch-OMP encode, and the encodes of
-        :meth:`update` and :meth:`maintain`); ``None`` = serial,
-        ``-1`` = all cores.  Results are identical for every value.
-        With ``distributed_preprocess`` only the tuning uses it: the
-        SPMD ranks encode serially, since they cannot fork.
+        Host-side worker count for the preprocessing hot path (the
+        tuner's candidate sweep and the Batch-OMP encode, and the
+        encodes of :meth:`update` and :meth:`maintain`); ``None`` =
+        serial, ``-1`` = all cores.  Results are identical for every
+        value.  The tuner's feasibility probes always run in the
+        caller.  With ``distributed_preprocess`` only the candidate
+        sweep uses it: the SPMD ranks encode serially, since they
+        cannot fork.
     memory_budget_bytes, block_width, checkpoint_dir:
         Out-of-core knobs used when ``fit`` receives a
         :class:`~repro.store.ColumnStore` (see
@@ -108,7 +111,8 @@ class ExtDict:
                                   ("time", "energy", "memory"))
         self.size = size
         self.candidates = candidates
-        self.subset_fraction = subset_fraction
+        self.subset_fraction = check_fraction(subset_fraction,
+                                              "subset_fraction")
         self.seed = seed
         self.distributed_preprocess = distributed_preprocess
         self.workers = workers

@@ -11,6 +11,10 @@ sizes, the tuner
 ``find_min_feasible_size`` locates L_min — the smallest dictionary for
 which OMP can meet ε on every column — which both bounds the search
 space and *is* the (platform-oblivious) choice of the RankMap baseline.
+
+Neither step needs the α of an infeasible size, so both encode strictly:
+an infeasible probe or candidate trial stops at the first 256-column
+panel that holds a column missing ε.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import observability as obs
-from repro.core.alpha import measure_alpha, measure_alpha_batch
+from repro.core.alpha import measure_alpha_batch
 from repro.core.cost_model import CostModel
 from repro.errors import TuningError
 from repro.linalg.kernels import use_backend
@@ -91,26 +95,33 @@ def find_min_feasible_size(a, eps: float, *, seed=None,
                            subset_fraction: float = 0.25,
                            trials: int = 1,
                            max_size: int | None = None,
-                           workers: int | None = None,
                            backend=None) -> int:
     """Smallest L whose random dictionary meets ε on every column.
 
     Uses doubling + bisection on a random column subset.  Feasibility is
     monotone in L in expectation (more atoms only help), which the
     bisection relies on; ``trials > 1`` guards against unlucky draws.
-    The probes are sequential (each feeds the next bracket) but each
-    probe's trials/encode parallelise with ``workers``.
+    The probes are sequential, since each feeds the next bracket, and
+    run in the caller.  A probe of size L is feasible exactly when
+    ``measure_alpha(subset, L, eps, trials=trials,
+    seed=derive_seed(seed, 1, L)).feasible``, but its trials encode
+    strictly (``measure_alpha_batch(..., strict=True)``): each stops at
+    its first panel that holds a failing column.
 
-    ``a`` may be a :class:`~repro.store.ColumnStore`; the probes then
-    read only their subset columns from disk.  ``backend`` selects the
-    OMP kernel (see :mod:`repro.linalg.kernels`) for every probe encode.
+    ``subset_fraction`` must lie in (0, 1] and ``max_size``, when
+    given, must be a positive integer.  ``a`` may be a
+    :class:`~repro.store.ColumnStore`; the probes then read only their
+    subset columns from disk.  ``backend`` selects the OMP kernel (see
+    :mod:`repro.linalg.kernels`) for every probe encode.
     """
     from repro.store.column_store import check_matrix_or_store, take_columns
 
     a = check_matrix_or_store(a, "A")
     eps = check_fraction(eps, "eps", inclusive_low=True)
+    subset_fraction = check_fraction(subset_fraction, "subset_fraction")
     n = a.shape[1]
-    limit = min(max_size or n, n)
+    limit = n if max_size is None else \
+        min(check_positive_int(max_size, "max_size"), n)
     rng = as_generator(seed)
     n_sub = max(min(n, int(round(subset_fraction * n))), 2)
     order = rng.permutation(n)
@@ -127,9 +138,9 @@ def find_min_feasible_size(a, eps: float, *, seed=None,
         if l > sub.shape[1]:
             return False
         obs.inc("tuner.feasibility_probes")
-        est = measure_alpha(sub, l, eps, trials=trials,
-                            seed=derive_seed(seed, 1, l), workers=workers)
-        return est.feasible
+        return measure_alpha_batch(sub, [(None, l, derive_seed(seed, 1, l))],
+                                   eps, trials=trials,
+                                   strict=True)[0].feasible
 
     with obs.span("tuner.find_min_feasible"), use_backend(backend):
         lo, hi = 1, None
@@ -175,12 +186,12 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
     candidates:
         Candidate L values; defaults to a geometric grid above L_min.
     subset_fraction:
-        Fraction of columns used for α estimation.
+        Fraction of columns used for α estimation, in (0, 1].
     workers:
-        Worker count for the α estimations: the feasibility probes are
-        column-parallel, and all candidates' trials run as one
-        trial-parallel batch; the table and L* are identical to the
-        serial run.
+        Worker count for the candidate sweep: all candidates' trials
+        run as one trial-parallel batch.  The feasibility probes that
+        pick the default candidates run in the caller.  The table and
+        L* are identical to the serial run.
     backend:
         OMP kernel backend for every α-estimation encode (see
         :mod:`repro.linalg.kernels`).  ``None`` keeps the process
@@ -195,6 +206,7 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
 
     a = check_matrix_or_store(a, "A")
     eps = check_fraction(eps, "eps", inclusive_low=True)
+    subset_fraction = check_fraction(subset_fraction, "subset_fraction")
     m, n = a.shape
     rng = as_generator(seed)
     n_sub = max(min(n, int(round(subset_fraction * n))), 2)
@@ -204,7 +216,7 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
         if candidates is None:
             l_min = find_min_feasible_size(a, eps, seed=derive_seed(seed, 7),
                                            subset_fraction=subset_fraction,
-                                           trials=trials, workers=workers)
+                                           trials=trials)
             candidates = default_candidates(m, n, l_min)
         candidates = sorted({check_positive_int(c, "candidate")
                              for c in candidates})
@@ -212,7 +224,7 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
         plan = _candidate_plan(candidates, n_sub, n, seed)
         estimates = measure_alpha_batch(
             a, [(order[:n_eff], l, cseed) for l, n_eff, cseed in plan], eps,
-            trials=trials, workers=workers)
+            trials=trials, workers=workers, strict=True)
         columns_read = max((n_eff for _, n_eff, _ in plan), default=0)
         table = []
         for est in estimates:

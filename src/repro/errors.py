@@ -3,10 +3,15 @@
 All errors raised deliberately by the library derive from
 :class:`ReproError` so callers can catch library failures without also
 swallowing programming errors (``TypeError`` etc. are still raised for
-misuse that static checking would catch).
+misuse that static checking would catch).  :func:`portable_exc` readies
+any exception to cross a process boundary; it lives here so a
+``fork_map`` worker can report a failure without importing
+:mod:`repro.mpi`.
 """
 
 from __future__ import annotations
+
+import pickle
 
 
 class ReproError(Exception):
@@ -95,3 +100,17 @@ class CheckpointError(ReproError, RuntimeError):
     parameters, or a fresh run pointed at a populated directory without
     ``resume=True``).
     """
+
+
+def portable_exc(exc: BaseException) -> BaseException:
+    """Return ``exc`` if it pickles, else a faithful stand-in.
+
+    For exceptions that must cross a process boundary: a ``fork_map``
+    worker's failing task and an SPMD rank process's failure both reach
+    the parent as a pickle.
+    """
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:  # noqa: BLE001 - any pickling failure
+        return RuntimeError(f"[{type(exc).__name__}] {exc}")

@@ -45,7 +45,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro import observability as obs
-from repro.errors import ValidationError
+from repro.errors import ValidationError, portable_exc
 
 __all__ = [
     "GramCache",
@@ -243,9 +243,7 @@ def _fork_worker(conn, fn, shared, payloads, share, observed) -> None:
         obs.SPANS.reset()
     results, failure = _run_share(fn, shared, payloads, share)
     if failure is not None:
-        from repro.mpi.process_world import _portable_exc
-
-        failure = (failure[0], _portable_exc(failure[1]))
+        failure = (failure[0], portable_exc(failure[1]))
     telemetry = (obs.REGISTRY.snapshot(), obs.SPANS.snapshot()) \
         if observed else None
     # A result that cannot be pickled fails here, before anything is

@@ -34,14 +34,13 @@ import contextvars
 import itertools
 import multiprocessing
 import os
-import pickle
 import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import DeadlockError, MPIEmulatorError
+from repro.errors import DeadlockError, MPIEmulatorError, portable_exc
 from repro.mpi.communicator import Communicator
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, deserialize
 from repro.mpi.request import Request
@@ -58,15 +57,6 @@ __all__ = ["ProcessCommunicator", "run_process_ranks"]
 #: Monotone run counter, making segment-name prefixes unique per run
 #: even within one parent process.
 _RUN_IDS = itertools.count()
-
-
-def _portable_exc(exc: BaseException) -> BaseException:
-    """Return ``exc`` if it pickles, else a faithful stand-in."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:  # noqa: BLE001 - any pickling failure
-        return RuntimeError(f"[{type(exc).__name__}] {exc}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +128,7 @@ class _WorkerLink:
                     value = self.callables[cid](*decode_payload(blob))
                     self.conn.send(("cbr", self.encode(value)))
                 except BaseException as exc:  # noqa: BLE001 - shipped back
-                    self.conn.send(("cbe", _portable_exc(exc)))
+                    self.conn.send(("cbe", portable_exc(exc)))
         if reply[0] == "ok":
             # Zero-copy map: results are views pinned until worker exit.
             return decode_payload(reply[1], pin=self.pins)
@@ -384,14 +374,14 @@ def _worker_main(conn, prefix: str, rank: int, size: int, fn, args,
             # a rank thread starts, not inside the span open at the fork.
             ret = contextvars.Context().run(fn, comm, *args, **kwargs)
         except DeadlockError as exc:
-            link.send_terminal(("deadlock", _portable_exc(exc)))
+            link.send_terminal(("deadlock", portable_exc(exc)))
         except MPIEmulatorError as exc:
             if getattr(exc, "_repro_remote", None) == "abort":
                 link.send_terminal(("aborted",))
             else:
-                link.send_terminal(("failed", _portable_exc(exc)))
+                link.send_terminal(("failed", portable_exc(exc)))
         except BaseException as exc:  # noqa: BLE001 - reported to parent
-            link.send_terminal(("failed", _portable_exc(exc)))
+            link.send_terminal(("failed", portable_exc(exc)))
         else:
             try:
                 payload = link.encode(ret)
@@ -557,12 +547,12 @@ def _proxy_loop(world: World, chan: _RankChannel, returns: list,
                                        link.decode(ekwargs), handle_seq)
                     reply = ("ok", link.encode(result))
                 except DeadlockError as exc:
-                    reply = ("err", "deadlock", _portable_exc(exc))
+                    reply = ("err", "deadlock", portable_exc(exc))
                 except MPIEmulatorError as exc:
                     tag = "abort" if exc is world.abort_exc else "error"
-                    reply = ("err", tag, _portable_exc(exc))
+                    reply = ("err", tag, portable_exc(exc))
                 except BaseException as exc:  # noqa: BLE001 - shipped back
-                    reply = ("err", "error", _portable_exc(exc))
+                    reply = ("err", "error", portable_exc(exc))
                 try:
                     conn.send(reply)
                 except (OSError, ValueError):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import observability as obs
-from repro.core.alpha import measure_alpha
+from repro.core.alpha import measure_alpha_batch
 from repro.core.cost_model import CostModel
 from repro.core.tuner import TuningResult, default_candidates
 from repro.errors import TuningError, ValidationError
@@ -187,12 +187,15 @@ def tune_dictionary_size_sketched(a, eps: float, cost_model: CostModel, *,
     returned costs live on the same scale as the exact tuner's table.
 
     ``a`` may be a ``ColumnStore`` (the intended use: the sample is a
-    few whole chunks, read once) or a dense matrix (validation).
+    few whole chunks, read once) or a dense matrix (validation).  As in
+    the exact tuner, an infeasible candidate's trials stop at their
+    first failing panel and the candidate is left out of the table.
     """
     from repro.store.column_store import check_matrix_or_store
 
     a = check_matrix_or_store(a, "A")
     eps = check_fraction(eps, "eps", inclusive_low=True)
+    subset_fraction = check_fraction(subset_fraction, "subset_fraction")
     sketch = sketch or SketchConfig()
     m, n = a.shape
     k = sketch.resolved_dim(m)
@@ -231,8 +234,7 @@ def tune_dictionary_size_sketched(a, eps: float, cost_model: CostModel, *,
             from repro.core.tuner import find_min_feasible_size
             l_min = find_min_feasible_size(
                 sketched, eps, seed=derive_seed(seed, 7),
-                subset_fraction=subset_fraction, trials=trials,
-                workers=workers)
+                subset_fraction=subset_fraction, trials=trials)
             cand_sorted = default_candidates(m, n, l_min)
 
         rng = as_generator(derive_seed(seed, 41))
@@ -248,9 +250,9 @@ def tune_dictionary_size_sketched(a, eps: float, cost_model: CostModel, *,
                 continue
             columns_read = max(columns_read, n_eff)
             sub = sketched[:, np.sort(order[:n_eff])]
-            est = measure_alpha(sub, l, eps, trials=trials,
-                                seed=derive_seed(seed, 2, l),
-                                workers=workers)
+            est = measure_alpha_batch(
+                sub, [(None, l, derive_seed(seed, 2, l))], eps,
+                trials=trials, workers=workers, strict=True)[0]
             if not est.feasible:
                 continue
             predicted_nnz = est.mean * n

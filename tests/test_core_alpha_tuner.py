@@ -1,18 +1,27 @@
 """Tests for α(L) estimation (Sec. VII) and the automated tuner."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro import observability as obs
 from repro.core import (
     CostModel,
+    ExtDict,
     alpha_curve,
     estimate_alpha_from_subsets,
     find_min_feasible_size,
     measure_alpha,
+    measure_alpha_batch,
     tune_dictionary_size,
 )
 from repro.errors import TuningError, ValidationError
+from repro.linalg import omp
+from repro.online import sketch
 from repro.platform import RbfRatios, platform_by_name
+from repro.store.column_store import take_columns
+from repro.utils.rng import as_generator, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +45,24 @@ class TestMeasureAlpha:
         a, _ = data
         est = measure_alpha(a, 2, 0.01, seed=0)
         assert not est.feasible
+
+    def test_infeasible_size_still_reports_alpha(self, data):
+        """The Fig. 4-6 curves plot α below L_min; only strict
+        estimates, which the tuners discard, leave it out."""
+        a, _ = data
+        est = measure_alpha(a, 2, 0.01, trials=2, seed=0)
+        assert not est.feasible
+        assert len(est.values) == 2 and est.mean > 0
+        strict = measure_alpha_batch(a, [(None, 2, 0)], 0.01, trials=2,
+                                     strict=True)[0]
+        assert not strict.feasible
+        assert strict.values == []
+
+    def test_strict_keeps_feasible_alphas(self, data):
+        a, _ = data
+        plan = [(None, 60, 0), (np.arange(200), 80, 1)]
+        assert measure_alpha_batch(a, plan, 0.1, trials=2, strict=True) \
+            == measure_alpha_batch(a, plan, 0.1, trials=2)
 
     def test_alpha_bounded_by_model(self, data):
         a, model = data
@@ -130,7 +157,102 @@ class TestSubsetEstimation:
         assert base.final_alpha == par.final_alpha
 
 
+def _reference_min_feasible(a, eps, *, seed, subset_fraction=0.25,
+                            trials=1):
+    """Doubling + bisection probing with ``measure_alpha(...).feasible``.
+
+    Returns ``(L_min, probes)``.
+    """
+    n = a.shape[1]
+    order = as_generator(seed).permutation(n)
+    sub = take_columns(a, order[:max(min(n, round(subset_fraction * n)),
+                                     2)])
+    probes = []
+
+    def feasible(l):
+        nonlocal sub
+        if 2 * l > sub.shape[1]:
+            sub = take_columns(a, order[:min(max(2 * l, sub.shape[1]), n)])
+        if l > sub.shape[1]:
+            return False
+        probes.append(l)
+        return measure_alpha(sub, l, eps, trials=trials,
+                             seed=derive_seed(seed, 1, l)).feasible
+
+    lo, hi, l = 1, None, min(8, n)
+    while l <= n:
+        if feasible(l):
+            hi = l
+            break
+        lo, l = l, 2 * l
+    if hi is None:
+        assert feasible(n)
+        hi = n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, probes
+
+
+@pytest.fixture(scope="module")
+def datasets(data):
+    from repro.data import salina_like
+    return {"union": data[0], "salinas": salina_like(n=768, seed=5)[0]}
+
+
+def _count_panels(monkeypatch):
+    """Count the ``DᵀA`` panels every encode of this test consumes."""
+    count = [0]
+    real = omp.iter_panel_dta
+
+    def counted(d, a):
+        for panel in real(d, a):
+            count[0] += 1
+            yield panel
+
+    monkeypatch.setattr(omp, "iter_panel_dta", counted)
+    return count
+
+
 class TestFindMinFeasible:
+    @pytest.mark.parametrize("trials", [1, 2])
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("dataset", ["union", "salinas"])
+    def test_matches_reference_bisection(self, datasets, dataset, eps,
+                                         trials):
+        a = datasets[dataset]
+        expected, probes = _reference_min_feasible(a, eps, seed=3,
+                                                   trials=trials)
+        with obs.observed():
+            got = find_min_feasible_size(a, eps, seed=3, trials=trials)
+            counted = obs.REGISTRY.counter("tuner.feasibility_probes")
+        assert got == expected
+        assert counted == len(probes)
+
+    def test_store_input_matches_reference(self, data, tmp_path):
+        from repro.store import ColumnStore
+
+        a, _ = data
+        store = ColumnStore.from_matrix(tmp_path / "a.store", a,
+                                        chunk_width=64)
+        expected, _ = _reference_min_feasible(a, 0.1, seed=8, trials=2)
+        assert find_min_feasible_size(store, 0.1, seed=8, trials=2) \
+            == expected
+
+    def test_infeasible_probe_encodes_one_panel(self, monkeypatch):
+        """Every probe below is infeasible on a 1024-column subset (4
+        panels); each stops at its first panel."""
+        a = np.random.default_rng(2).standard_normal((30, 4096))
+        panels = _count_panels(monkeypatch)
+        with obs.observed(), pytest.raises(TuningError):
+            find_min_feasible_size(a, 0.001, seed=0, max_size=2)
+        probes = obs.REGISTRY.counter("tuner.feasibility_probes")
+        assert probes == 2
+        assert panels[0] == probes
+
     def test_result_is_feasible_and_tight(self, data):
         a, _ = data
         l_min = find_min_feasible_size(a, 0.1, seed=0,
@@ -148,6 +270,44 @@ class TestFindMinFeasible:
         a = rng.standard_normal((30, 60))
         with pytest.raises(TuningError):
             find_min_feasible_size(a, 0.001, seed=0, max_size=4)
+
+
+class TestSubsetArgumentValidation:
+    """Bad subset arguments raise ValidationError before any encode."""
+
+    @pytest.fixture(autouse=True)
+    def no_encodes(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an encode ran before validation")
+
+        monkeypatch.setattr(omp, "_encode_range", refuse)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 3.0, float("nan")])
+    def test_subset_fraction(self, data, fraction):
+        a, _ = data
+        model = CostModel(platform_by_name("1x4"))
+        calls = [
+            lambda: find_min_feasible_size(a, 0.1, seed=0,
+                                           subset_fraction=fraction),
+            lambda: tune_dictionary_size(a, 0.1, model, seed=0,
+                                         subset_fraction=fraction),
+            lambda: tune_dictionary_size(a, 0.1, model, seed=0,
+                                         candidates=[40],
+                                         subset_fraction=fraction),
+            lambda: sketch.tune_dictionary_size_sketched(
+                a, 0.1, model, seed=0, candidates=[40],
+                subset_fraction=fraction),
+            lambda: ExtDict(eps=0.1, subset_fraction=fraction),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="subset_fraction"):
+                call()
+
+    @pytest.mark.parametrize("max_size", [0, -3, 2.5])
+    def test_max_size(self, data, max_size):
+        a, _ = data
+        with pytest.raises(ValidationError, match="max_size"):
+            find_min_feasible_size(a, 0.1, seed=0, max_size=max_size)
 
 
 class TestTuner:
@@ -204,3 +364,44 @@ class TestTuner:
         assert res.cost_of(res.best_size) > 0
         with pytest.raises(KeyError):
             res.cost_of(999)
+
+
+class TestInfeasibleCandidates:
+    """Strict candidate trials leave the tuners' results unchanged."""
+
+    CANDIDATES = [2, 3, 24, 60, 120]
+
+    @pytest.mark.parametrize("tune, workers", [
+        (tune_dictionary_size, None),
+        (tune_dictionary_size, 2),
+        (sketch.tune_dictionary_size_sketched, None),
+    ])
+    def test_tables_match_non_strict_sweep(self, data, monkeypatch, tune,
+                                           workers):
+        a, _ = data
+        model = CostModel(platform_by_name("1x4"))
+
+        def run():
+            return tune(a, 0.05, model, seed=2, trials=2,
+                        candidates=self.CANDIDATES, workers=workers)
+
+        res = run()
+        module = sys.modules[tune.__module__]
+        real = module.measure_alpha_batch
+        monkeypatch.setattr(
+            module, "measure_alpha_batch",
+            lambda *args, **kw: real(*args, **dict(kw, strict=False)))
+        ref = run()
+        assert len(ref.table) < len(self.CANDIDATES)  # some infeasible
+        assert res.table == ref.table
+        assert res.best_size == ref.best_size
+        assert res.subset_columns == ref.subset_columns
+
+    def test_infeasible_trial_stops_at_its_first_panel(self, monkeypatch):
+        a = np.random.default_rng(4).standard_normal((30, 1024))
+        model = CostModel(platform_by_name("1x4"))
+        panels = _count_panels(monkeypatch)
+        with pytest.raises(TuningError):
+            tune_dictionary_size(a, 0.001, model, seed=0,
+                                 subset_fraction=1.0, candidates=[2, 3])
+        assert panels[0] == 2

@@ -1,11 +1,14 @@
 """Unit tests for the ExD transform (Alg. 1) and TransformedData."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.core import TransformedData, exd_transform, exd_transform_distributed
 from repro.core.dictionary import Dictionary
 from repro.errors import DictionaryError, ValidationError
+from repro.platform import platform_by_name
 from repro.sparse import CSCMatrix
 
 
@@ -92,6 +95,32 @@ class TestExdDistributed:
         assert dist.n == a.shape[1]
         assert spmd.simulated_time > 0
         assert stats.all_converged
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("backend", [
+        "threads",
+        pytest.param("processes", marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="process backend requires the fork start method"))])
+    def test_bits_match_serial(self, backend, normalize):
+        """Every rank normalises only its atoms and its column block;
+        the blocks of N=700 on 4 ranks start mid-panel."""
+        from repro.data import salina_like
+
+        a, _ = salina_like(n=700, seed=3)
+        serial, serial_stats = exd_transform(a, 48, 0.1, seed=6,
+                                             normalize=normalize)
+        dist, stats, spmd = exd_transform_distributed(
+            a, 48, 0.1, platform_by_name("1x4"), seed=6,
+            normalize=normalize, backend=backend)
+        assert spmd.backend == backend
+        np.testing.assert_array_equal(dist.dictionary.atoms,
+                                      serial.dictionary.atoms)
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(
+                getattr(dist.coefficients, part),
+                getattr(serial.coefficients, part))
+        assert stats == serial_stats
 
     def test_preprocessing_flops_charged(self, union_data, small_cluster):
         a, _ = union_data

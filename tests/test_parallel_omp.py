@@ -14,12 +14,17 @@ baselines.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import observability as obs
 from repro.core.alpha import measure_alpha
 from repro.core.cost_model import CostModel
@@ -319,6 +324,31 @@ def _interrupt_parent(parent_pid, payload):
     return payload
 
 
+#: Run in a fresh interpreter: a fork_map whose worker task raises.  The
+#: exception records, whenever it is pickled, whether the pickling
+#: process had loaded the MPI package's process backend.
+_WORKER_FAILURE_SCRIPT = textwrap.dedent("""
+    import sys
+
+    from repro.linalg.parallel_omp import fork_map
+
+    class Probe(Exception):
+        def __reduce__(self):
+            return Probe, ("repro.mpi.process_world" in sys.modules,)
+
+    def task(_shared, payload):
+        if payload == 1:  # runs in the forked worker
+            raise Probe(None)
+        return payload
+
+    assert "repro.mpi.process_world" not in sys.modules
+    try:
+        fork_map(task, range(4), None, 2)
+    except Probe as exc:
+        print(exc.args[0])
+""")
+
+
 @needs_fork
 class TestForkMapContract:
     def test_uneven_shares_come_back_in_payload_order(self):
@@ -350,6 +380,15 @@ class TestForkMapContract:
         with pytest.raises(exc_type, match=f"payload {index}"):
             fork_map(_fail_on, range(7), failing, workers=workers)
         assert multiprocessing.active_children() == []
+
+    def test_failing_worker_does_not_import_the_mpi_package(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _WORKER_FAILURE_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "False"
 
     def test_unpicklable_worker_exception_becomes_runtime_error(self):
         with pytest.raises(RuntimeError, match="_WontUnpickle"):
