@@ -416,6 +416,8 @@ def cmd_maintain(args) -> int:
     from repro.store import is_column_store
     from repro.store.column_store import take_columns
 
+    config = MaintenanceConfig(batch=args.batch,
+                               refresh_every=args.refresh_every)
     a = _load_matrix(args)
     if args.transform:
         transform = load_transform(args.transform)
@@ -434,39 +436,34 @@ def cmd_maintain(args) -> int:
                                      seed=args.seed, workers=args.workers)
         print(f"fitted initial D {transform.m}x{transform.l} from the "
               f"first {init} columns (eps={args.eps})")
-    config = MaintenanceConfig(batch=args.batch,
-                               refresh_every=args.refresh_every)
     maintainer = OnlineMaintainer(a, transform, config=config,
                                   seed=args.seed, workers=args.workers,
                                   backend=args.backend)
-    try:
-        for rep in maintainer.run(args.steps):
-            notes = []
-            if rep["drift_fired"]:
-                notes.append("drift")
-            if rep["atoms_refreshed"]:
-                notes.append(f"refreshed {rep['atoms_refreshed']}")
-            if rep["atoms_reseeded"]:
-                notes.append(f"re-seeded {len(rep['atoms_reseeded'])}")
-            if rep["retune_recommended"]:
-                notes.append("re-tune recommended")
-            print(f"step {rep['step']:>3}: alpha={rep['alpha']:.2f} "
-                  f"error={rep['error']:.4f}"
-                  + (f"  [{', '.join(notes)}]" if notes else ""))
-        if args.out:
-            path = save_transform(maintainer.build_generation(), args.out)
-            print(f"saved maintained transform to {path}")
-        if args.status_json:
-            with open(args.status_json, "w", encoding="utf-8") as fh:
-                json.dump(maintainer.status(), fh, indent=2)
-            print(f"wrote maintenance status to {args.status_json}")
-        else:
-            usage = maintainer.status()["atom_usage"]
-            print(f"atom usage: {usage['selections']} selections over "
-                  f"{usage['columns']} columns, "
-                  f"{usage['dead_atoms']} dead atoms")
-    finally:
-        maintainer.close()
+    for rep in maintainer.run(args.steps):
+        notes = []
+        if rep["drift_fired"]:
+            notes.append("drift")
+        if rep["atoms_refreshed"]:
+            notes.append(f"refreshed {rep['atoms_refreshed']}")
+        if rep["atoms_reseeded"]:
+            notes.append(f"re-seeded {len(rep['atoms_reseeded'])}")
+        if rep["retune_recommended"]:
+            notes.append("re-tune recommended")
+        print(f"step {rep['step']:>3}: alpha={rep['alpha']:.2f} "
+              f"error={rep['error']:.4f}"
+              + (f"  [{', '.join(notes)}]" if notes else ""))
+    if args.out:
+        path = save_transform(maintainer.build_generation(), args.out)
+        print(f"saved maintained transform to {path}")
+    if args.status_json:
+        with open(args.status_json, "w", encoding="utf-8") as fh:
+            json.dump(maintainer.status(), fh, indent=2)
+        print(f"wrote maintenance status to {args.status_json}")
+    else:
+        usage = maintainer.status()["atom_usage"]
+        print(f"atom usage: {usage['selections']} selections over "
+              f"{usage['columns']} columns, "
+              f"{usage['dead_atoms']} dead atoms")
     return 0
 
 

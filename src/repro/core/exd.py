@@ -248,10 +248,11 @@ def _exd_store_rank_program(comm, store, size, eps, seed, normalize,
                             max_atoms, block_width):
     """SPMD body of Algorithm 1 over a ColumnStore (one rank).
 
-    Rank 0 samples the dictionary from disk (panel-aligned, the
-    streaming encoder's replay) and broadcasts it; column blocks are
-    then partitioned by the store's deterministic ``shard_plan``, so
-    each rank streams (roughly) only its chunk partition from disk.
+    Rank 0 samples the dictionary from disk (reading only the sampled
+    columns, as the streaming encoder does) and broadcasts it; column
+    blocks are then partitioned by the store's deterministic
+    ``shard_plan``, so each rank streams (roughly) only its chunk
+    partition from disk.
     Block boundaries, normalisation and the per-block Batch-OMP calls
     mirror :class:`~repro.store.StreamingEncoder` exactly, which makes
     the assembled transform bit-identical to the serial streaming

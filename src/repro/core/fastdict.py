@@ -103,11 +103,6 @@ class FastFactor:
         return (self.rows, self.cols)
 
     @property
-    def block_shape(self) -> tuple[int, int, int]:
-        """``(nb, r, c)`` of the block-diagonal part."""
-        return self.blocks.shape
-
-    @property
     def rows_pad(self) -> int:
         return self.blocks.shape[0] * self.blocks.shape[1]
 

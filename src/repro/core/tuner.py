@@ -14,7 +14,8 @@ space and *is* the (platform-oblivious) choice of the RankMap baseline.
 
 Neither step needs the α of an infeasible size, so both encode strictly:
 an infeasible probe or candidate trial stops at the first 256-column
-panel that holds a column missing ε.
+panel that holds a column missing ε.  The sketched tuner
+(:mod:`repro.online.sketch`) runs the same candidate sweep on a sketch.
 """
 
 from __future__ import annotations
@@ -89,6 +90,31 @@ def _candidate_plan(candidates, n_sub: int, n: int, seed) -> list:
         if l <= n_eff:
             plan.append((l, n_eff, derive_seed(seed, 2, l)))
     return plan
+
+
+def _candidate_sweep(a, plan, eps: float, cost_model: CostModel,
+                     objective: str, m: int, n: int, *, trials: int,
+                     workers) -> list:
+    """Eq. 2/3/4 rows ``(L, alpha, predicted_nnz, cost)`` of a sweep.
+
+    ``plan`` holds one :func:`measure_alpha_batch` entry
+    ``(columns, L, seed)`` per candidate.  All candidates' trials run
+    as one strict trial-parallel batch on ``a``; infeasible candidates
+    are dropped, and each feasible ``L`` is billed as
+    ``nnz(C) ≈ α(L)·N`` on an ``(M, N) = (m, n)`` matrix, which need
+    not be the shape of ``a`` (the sketched tuner measures α on a
+    sketch).
+    """
+    estimates = measure_alpha_batch(a, plan, eps, trials=trials,
+                                    workers=workers, strict=True)
+    table = []
+    for est in estimates:
+        if not est.feasible:
+            continue
+        predicted_nnz = est.mean * n
+        cost = cost_model.objective(objective, m, est.size, predicted_nnz, n)
+        table.append((est.size, est.mean, predicted_nnz, cost))
+    return table
 
 
 def find_min_feasible_size(a, eps: float, *, seed=None,
@@ -222,18 +248,10 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
                              for c in candidates})
 
         plan = _candidate_plan(candidates, n_sub, n, seed)
-        estimates = measure_alpha_batch(
+        table = _candidate_sweep(
             a, [(order[:n_eff], l, cseed) for l, n_eff, cseed in plan], eps,
-            trials=trials, workers=workers, strict=True)
+            cost_model, objective, m, n, trials=trials, workers=workers)
         columns_read = max((n_eff for _, n_eff, _ in plan), default=0)
-        table = []
-        for est in estimates:
-            if not est.feasible:
-                continue
-            predicted_nnz = est.mean * n
-            cost = cost_model.objective(objective, m, est.size,
-                                        predicted_nnz, n)
-            table.append((est.size, est.mean, predicted_nnz, cost))
     obs.inc("tuner.candidates_evaluated", len(candidates))
     obs.inc("tuner.candidates_feasible", len(table))
     if not table:

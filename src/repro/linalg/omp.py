@@ -28,7 +28,6 @@ import numpy as np
 from repro import observability as obs
 from repro.errors import DictionaryError, ValidationError
 from repro.linalg.kernels import resolve_backend
-from repro.online.stats import record_encode
 from repro.linalg.kernels.numpy_ref import batch_omp_column
 from repro.sparse.builder import ColumnBuilder
 from repro.sparse.csc import CSCMatrix
@@ -475,8 +474,4 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
                         "omp.converged_columns": stats.converged_columns,
                         "omp.iterations": total_iters,
                         "omp.flops": stats.flops})
-    # Atom-usage hook (repro.online): one falsy-dict check when nothing
-    # is watched; it runs here, after the merge, so each encode records
-    # once whatever its worker count.
-    record_encode(op if op is not None else d, c)
     return c, stats

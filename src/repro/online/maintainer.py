@@ -8,9 +8,9 @@ dense matrix) its traffic comes from and, per :meth:`step`,
    chunk;
 2. draws a deterministic minibatch (``derive_seed`` on the step
    ordinal) biased to the newest columns when fresh data arrived;
-3. encodes it against the *working copy* of the atoms — the encode
-   feeds the attached :class:`~repro.online.stats.AtomStats` through
-   the standard encoder hook, and its measured (α, error) feed the
+3. encodes it against the *working copy* of the atoms, records the
+   codes in the maintainer's :class:`~repro.online.stats.AtomStats`
+   and feeds the measured (α, error) to the
    :class:`~repro.online.drift.DriftMonitor`;
 4. folds the minibatch into the Mensch/Mairal surrogate and runs a
    block-coordinate atom refresh (every ``refresh_every`` steps, and
@@ -36,7 +36,7 @@ from repro import observability as obs
 from repro.errors import ValidationError
 from repro.linalg.omp import batch_omp_matrix
 from repro.online.drift import AlphaCurve, DriftConfig, DriftMonitor
-from repro.online.stats import unwatch_dictionary, watch_dictionary
+from repro.online.stats import AtomStats
 from repro.online.update import OnlineUpdateConfig, OnlineUpdater
 from repro.utils.rng import as_generator, derive_seed
 
@@ -59,8 +59,13 @@ class MaintenanceConfig:
         default_factory=OnlineUpdateConfig)
 
     def __post_init__(self) -> None:
-        if self.batch < 1:
-            raise ValidationError(f"batch must be >= 1, got {self.batch}")
+        for name, low in (("batch", 1), ("refresh_every", 1),
+                          ("retune_after", 1), ("warmup_columns", 0),
+                          ("dead_min_count", 0), ("max_reseed", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValidationError(
+                    f"{name} must be >= {low}, got {value}")
         if not (0.0 <= self.fresh_bias <= 1.0):
             raise ValidationError(
                 f"fresh_bias must be in [0, 1], got {self.fresh_bias}")
@@ -101,8 +106,8 @@ class OnlineMaintainer:
         dictionary = transform.dictionary
         self.updater = OnlineUpdater(
             atoms=dictionary.atoms, indices=dictionary.indices,
-            config=self.config.update, seed=seed)
-        self.stats = watch_dictionary(self.updater.atoms)
+            config=self.config.update)
+        self.stats = AtomStats(self.updater.size)
         self.monitor: DriftMonitor | None = None
         if curve is not None:
             self.monitor = DriftMonitor(
@@ -167,6 +172,7 @@ class OnlineMaintainer:
             c, enc_stats = batch_omp_matrix(
                 self.updater.atoms, x, self.eps,
                 workers=self.workers, backend=self.backend)
+            self.stats.record(c)
             dense_c = c.to_dense()
             resid = x - self.updater.atoms @ dense_c
             x_norm = float(np.linalg.norm(x))
@@ -299,7 +305,7 @@ class OnlineMaintainer:
         return result
 
     def status(self) -> dict:
-        """JSON-ready digest (what ``GET /v1/metrics`` embeds)."""
+        """JSON-ready digest (``repro maintain --status-json`` writes it)."""
         return {
             "steps": int(self.steps),
             "store": {
@@ -315,5 +321,7 @@ class OnlineMaintainer:
         }
 
     def close(self) -> None:
-        """Detach the stats watch (stop recording on this dictionary)."""
-        unwatch_dictionary(self.updater.atoms)
+        """Nothing to release: the maintainer holds no outside resource.
+
+        A no-op, kept for callers that close what they open.
+        """

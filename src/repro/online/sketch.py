@@ -13,8 +13,8 @@ Sparse Random Projections", PAPERS.md), this module instead
 2. compresses the rows with a very sparse Achlioptas/Li projection
    ``R ∈ {−√(s/k), 0, +√(s/k)}^{k×M}`` with ``P(±) = 1/(2s)``,
    ``s = √M`` — a JL embedding with ~``M/√M`` non-zeros per row;
-3. runs the standard α(L) measurement protocol entirely on the
-   in-memory sketch.  Because ExD dictionaries *are* data columns, the
+3. runs the exact tuner's candidate sweep entirely on the in-memory
+   sketch.  Because ExD dictionaries *are* data columns, the
    sketched dictionary is automatically the sketch of the sampled
    columns — no separate dictionary projection step exists.
 
@@ -33,9 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import observability as obs
-from repro.core.alpha import measure_alpha_batch
 from repro.core.cost_model import CostModel
-from repro.core.tuner import TuningResult, default_candidates
+from repro.core.tuner import (
+    TuningResult,
+    _candidate_plan,
+    _candidate_sweep,
+    default_candidates,
+    find_min_feasible_size,
+)
 from repro.errors import TuningError, ValidationError
 from repro.linalg.kernels import use_backend
 from repro.utils.rng import as_generator, derive_seed
@@ -180,11 +185,14 @@ def tune_dictionary_size_sketched(a, eps: float, cost_model: CostModel, *,
                                   backend=None) -> SketchedTuningResult:
     """Pick L* from a sketched sample instead of raw subset columns.
 
-    Mirrors :func:`repro.core.tuner.tune_dictionary_size` — identical
-    candidate grid semantics, α-measurement protocol and Eq. 2/3/4
-    evaluation — but every encode runs on the ``(k, n_sketch)`` sketch,
-    and Eq. 2/3/4 are billed with the *original* ``M`` and ``N`` so the
-    returned costs live on the same scale as the exact tuner's table.
+    Runs :func:`repro.core.tuner.tune_dictionary_size`'s candidate
+    sweep — the same candidate plan, one strict trial-parallel batch
+    of α trials, the same Eq. 2/3/4 rows — but every encode runs on
+    the ``(k, n_sketch)`` sketch, and Eq. 2/3/4 are billed with the
+    *original* ``M`` and ``N`` so the returned costs live on the same
+    scale as the exact tuner's table.  Each candidate's subset is the
+    sorted prefix ``order[:n_eff]`` of one permutation of the sketch's
+    columns.
 
     ``a`` may be a ``ColumnStore`` (the intended use: the sample is a
     few whole chunks, read once) or a dense matrix (validation).  As in
@@ -231,7 +239,6 @@ def tune_dictionary_size_sketched(a, eps: float, cost_model: CostModel, *,
         obs.set_gauge("online.sketch_dim", k)
 
         if cand_sorted is None:
-            from repro.core.tuner import find_min_feasible_size
             l_min = find_min_feasible_size(
                 sketched, eps, seed=derive_seed(seed, 7),
                 subset_fraction=subset_fraction, trials=trials)
@@ -241,23 +248,12 @@ def tune_dictionary_size_sketched(a, eps: float, cost_model: CostModel, *,
         n_sub = max(min(n_sketch, int(round(subset_fraction * n_sketch))),
                     2)
         order = rng.permutation(n_sketch)
-
-        table = []
-        columns_read = 0
-        for l in cand_sorted:
-            n_eff = min(max(n_sub, 2 * l), n_sketch)
-            if l > n_eff:
-                continue
-            columns_read = max(columns_read, n_eff)
-            sub = sketched[:, np.sort(order[:n_eff])]
-            est = measure_alpha_batch(
-                sub, [(None, l, derive_seed(seed, 2, l))], eps,
-                trials=trials, workers=workers, strict=True)[0]
-            if not est.feasible:
-                continue
-            predicted_nnz = est.mean * n
-            cost = cost_model.objective(objective, m, l, predicted_nnz, n)
-            table.append((l, est.mean, predicted_nnz, cost))
+        plan = _candidate_plan(cand_sorted, n_sub, n_sketch, seed)
+        table = _candidate_sweep(
+            sketched,
+            [(np.sort(order[:n_eff]), l, cseed) for l, n_eff, cseed in plan],
+            eps, cost_model, objective, m, n, trials=trials, workers=workers)
+        columns_read = max((n_eff for _, n_eff, _ in plan), default=0)
 
         bytes_read = obs.REGISTRY.counter("store.bytes_read") - bytes_before
         chunks_read = (obs.REGISTRY.counter("store.chunks_read")

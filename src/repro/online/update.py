@@ -16,8 +16,8 @@ which is the exact minimiser of the quadratic surrogate in ``d_j`` with
 the other atoms fixed.  Atoms with no mass in the surrogate
 (``A_jj ≈ 0`` — never selected) are skipped by the refresh and instead
 handled by :meth:`OnlineUpdater.evict_dead`, which re-seeds them from
-the worst-reconstructed recent columns (deterministically, under
-``derive_seed``).
+the worst-reconstructed recent columns (deterministically: ties break
+by column index).
 
 The updater owns a private *working copy* of the atoms and mutates it
 in place; every mutation explicitly invalidates the process-wide Gram
@@ -39,7 +39,6 @@ from repro import observability as obs
 from repro.core.dictionary import Dictionary
 from repro.errors import ValidationError
 from repro.linalg.parallel_omp import GRAM_CACHE
-from repro.utils.rng import as_generator, derive_seed
 
 __all__ = ["OnlineUpdateConfig", "OnlineUpdater"]
 
@@ -59,25 +58,18 @@ class OnlineUpdateConfig:
         ``B_t`` before each new minibatch.  1.0 keeps the full history
         (the convex regime of Mensch & Mairal); smaller values track
         drift faster at the price of noisier atoms.
-    min_usage:
-        An atom is *dead* when its total selection count over the
-        updater's lifetime statistics stays below this.
     norm_floor:
         Atoms whose refreshed norm falls below this are renormalised
         from the floor instead of dividing by ~0.
     """
 
     forgetting: float = 1.0
-    min_usage: int = 1
     norm_floor: float = 1e-10
 
     def __post_init__(self) -> None:
         if not (0.0 < self.forgetting <= 1.0):
             raise ValidationError(
                 f"forgetting must be in (0, 1], got {self.forgetting}")
-        if self.min_usage < 0:
-            raise ValidationError(
-                f"min_usage must be >= 0, got {self.min_usage}")
 
 
 @dataclass
@@ -87,7 +79,6 @@ class OnlineUpdater:
     atoms: np.ndarray
     indices: np.ndarray
     config: OnlineUpdateConfig = field(default_factory=OnlineUpdateConfig)
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         self.atoms = np.array(self.atoms, dtype=np.float64, copy=True)
@@ -220,13 +211,6 @@ class OnlineUpdater:
         err = np.linalg.norm(x - self.atoms @ dense_c, axis=0)
         order = np.argsort(-err, kind="stable")
         return order[:int(k)]
-
-    def draw_minibatch(self, n_total: int, batch: int,
-                       step: int) -> np.ndarray:
-        """Deterministic column sample for maintenance step ``step``."""
-        rng = as_generator(derive_seed(self.seed, 23, step))
-        batch = min(int(batch), int(n_total))
-        return np.sort(rng.choice(n_total, size=batch, replace=False))
 
     def snapshot_dictionary(self) -> Dictionary:
         """A fresh :class:`Dictionary` copy of the current atoms.

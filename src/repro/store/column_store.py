@@ -483,11 +483,6 @@ class ColumnStore:
             out[:, mask] = arr[:, cols[mask] - starts[index]]
         return out
 
-    def iter_chunks(self):
-        """Yield ``(start, stop, array)`` per chunk, memory-mapped."""
-        for index, (start, stop) in enumerate(self.chunk_bounds()):
-            yield start, stop, self._read_chunk(index)
-
     def shard_plan(self, p: int) -> list[tuple[int, int]]:
         """Deterministic contiguous chunk partition for ``p`` ranks.
 

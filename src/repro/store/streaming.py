@@ -178,32 +178,21 @@ class _Block:
 def sample_store_dictionary(store: ColumnStore, size: int, *, seed=None,
                             normalize: bool = True,
                             count_read=None) -> Dictionary:
-    """Replay ``sample_dictionary`` reading only the needed panels.
+    """Replay ``sample_dictionary`` reading only the sampled columns.
 
-    Normalised atom values must match the in-memory
-    ``normalize_columns(A)[:, idx]`` bit-for-bit, so norms are computed
-    per aligned :data:`ENCODE_BLOCK_COLS` panel — the same reduction
-    the full-matrix normalisation uses for that panel.  Shared by the
+    The atoms equal the in-memory ``normalize_columns(A)[0][:, idx]``
+    bit for bit, because ``normalize_columns`` gives a column the same
+    bits whichever columns it is normalised with.  Shared by the
     streaming encoder and the distributed store transform (rank 0
-    samples, then broadcasts).  ``count_read(lo, hi, arr)``, when
-    given, observes every store read.
+    samples, then broadcasts).  ``count_read(cols, arr)``, when given,
+    observes the store read.
     """
-    m, n = store.shape
     rng = as_generator(seed)
-    idx = np.sort(rng.choice(n, size=size, replace=False))
-    if not normalize:
-        return Dictionary(store.read_columns(idx), idx)
-    atoms = np.empty((m, size), dtype=np.float64)
-    for panel in np.unique(idx // ENCODE_BLOCK_COLS):
-        lo = int(panel) * ENCODE_BLOCK_COLS
-        hi = min(lo + ENCODE_BLOCK_COLS, n)
-        raw = store.read_range(lo, hi)
-        if count_read is not None:
-            count_read(lo, hi, raw)
-        work, _ = normalize_columns(raw)
-        sel = (idx >= lo) & (idx < hi)
-        atoms[:, sel] = work[:, idx[sel] - lo]
-    return Dictionary(atoms, idx)
+    idx = np.sort(rng.choice(store.shape[1], size=size, replace=False))
+    raw = store.read_columns(idx)
+    if count_read is not None:
+        count_read(idx, raw)
+    return Dictionary(normalize_columns(raw)[0] if normalize else raw, idx)
 
 
 class StreamingEncoder:
@@ -516,11 +505,12 @@ class StreamingEncoder:
             self.store, self.size, seed=self.seed,
             normalize=self.normalize, count_read=self._count_read)
 
-    def _count_read(self, lo: int, hi: int, arr: np.ndarray) -> None:
+    def _count_read(self, cols: np.ndarray, arr: np.ndarray) -> None:
+        """Account one store read of columns ``cols``."""
+        starts = [start for start, _ in self.store.chunk_bounds()]
         self._bytes_read += arr.nbytes
-        self._chunks_read += sum(1 for start, stop
-                                 in self.store.chunk_bounds()
-                                 if start < hi and stop > lo)
+        self._chunks_read += np.unique(
+            np.searchsorted(starts, cols, side="right")).size
 
     # ------------------------------------------------------------------
     # the encode loop
@@ -583,7 +573,7 @@ class StreamingEncoder:
                         continue
                     del entries[index]
                 raw = self.store.read_range(lo, hi)
-                self._count_read(lo, hi, raw)
+                self._count_read(np.arange(lo, hi), raw)
                 if self.normalize:
                     work, norms = normalize_columns(raw)
                 else:

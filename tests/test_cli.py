@@ -212,6 +212,14 @@ class TestServeCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestMaintainCommand:
+    def test_bad_refresh_cadence_is_an_error(self, capsys):
+        assert main(["maintain", "--dataset", "salina", "--n", "256",
+                     "--size", "16", "--steps", "2",
+                     "--refresh-every", "0"]) == 1
+        assert "refresh_every" in capsys.readouterr().err
+
+
 class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

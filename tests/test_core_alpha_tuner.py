@@ -1,7 +1,5 @@
 """Tests for α(L) estimation (Sec. VII) and the automated tuner."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from repro.core import (
     measure_alpha_batch,
     tune_dictionary_size,
 )
+from repro.core import tuner
 from repro.errors import TuningError, ValidationError
 from repro.linalg import omp
 from repro.online import sketch
@@ -386,10 +385,10 @@ class TestInfeasibleCandidates:
                         candidates=self.CANDIDATES, workers=workers)
 
         res = run()
-        module = sys.modules[tune.__module__]
-        real = module.measure_alpha_batch
+        # both tuners run the sweep in repro.core.tuner
+        real = tuner.measure_alpha_batch
         monkeypatch.setattr(
-            module, "measure_alpha_batch",
+            tuner, "measure_alpha_batch",
             lambda *args, **kw: real(*args, **dict(kw, strict=False)))
         ref = run()
         assert len(ref.table) < len(self.CANDIDATES)  # some infeasible

@@ -1,16 +1,19 @@
 """Drift-aware online maintenance (``repro.online``): atom usage
-statistics and their cross-path exactness, Gram-staleness regression
-tests, the Mensch/Mairal surrogate updater, drift detection, sketched
-tuning, and the end-to-end maintainer."""
+statistics, Gram-staleness regression tests, the Mensch/Mairal
+surrogate updater, drift detection, sketched tuning, and the end-to-end
+maintainer."""
 
 from __future__ import annotations
 
 import os
-import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import observability as obs
 from repro.core import CostModel, exd_transform, tune_dictionary_size
 from repro.core.dictionary import Dictionary, sample_dictionary
@@ -29,13 +32,9 @@ from repro.online import (
     OnlineUpdater,
     SketchConfig,
     fit_alpha_curve,
-    record_encode,
     sketch_store_columns,
     sparse_projection,
     tune_dictionary_size_sketched,
-    unwatch_dictionary,
-    watch_dictionary,
-    watched_stats,
 )
 from repro.platform import platform_by_name
 from repro.store import ColumnStore
@@ -80,41 +79,6 @@ class TestAtomStats:
         used = np.unique(c.indices)
         assert (stats.last_used[used] == 1).all()
 
-    def test_merge_equals_serial_replay(self, data, dictionary):
-        """Merging per-shard stats must equal recording the shards
-        sequentially into one accumulator — every field."""
-        halves = [data[:, :N // 2], data[:, N // 2:]]
-        codes = [batch_omp_matrix(dictionary.atoms, h, EPS)[0]
-                 for h in halves]
-        serial = AtomStats(L)
-        for c in codes:
-            serial.record(c)
-        merged = AtomStats(L)
-        for c in codes:
-            part = AtomStats(L)
-            part.record(c)
-            merged.merge(part)
-        for field in ("counts", "abs_coef_sum", "last_used"):
-            np.testing.assert_array_equal(getattr(merged, field),
-                                          getattr(serial, field))
-        assert merged.columns == serial.columns == N
-        assert merged.generation == serial.generation == 2
-
-    def test_merge_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="cannot merge"):
-            AtomStats(4).merge(AtomStats(5))
-
-    def test_pickle_roundtrip_drops_lock(self, data, dictionary):
-        c, _ = batch_omp_matrix(dictionary.atoms, data, EPS)
-        stats = AtomStats(L)
-        stats.record(c)
-        clone = pickle.loads(pickle.dumps(stats))
-        np.testing.assert_array_equal(clone.counts, stats.counts)
-        np.testing.assert_array_equal(clone.last_used, stats.last_used)
-        assert clone.columns == stats.columns
-        clone.record(c)  # the rebuilt lock works
-        assert clone.generation == stats.generation + 1
-
     def test_dead_atoms_and_reset(self):
         stats = AtomStats(4)
         stats.counts[:] = [0, 3, 1, 0]
@@ -141,123 +105,6 @@ class TestAtomStats:
 
 
 # ----------------------------------------------------------------------
-# The watch registry + encode hooks: exactness across every path
-# ----------------------------------------------------------------------
-class TestEncodeHooks:
-    def test_unwatched_encode_records_nothing(self, data, dictionary):
-        batch_omp_matrix(dictionary.atoms, data, EPS)
-        assert watched_stats(dictionary.atoms) is None
-
-    def test_serial_hook_fires_once(self, data, dictionary):
-        stats = watch_dictionary(dictionary)
-        try:
-            c, _ = batch_omp_matrix(dictionary, data, EPS)
-            assert stats.generation == 1
-            assert int(stats.counts.sum()) == c.nnz
-        finally:
-            unwatch_dictionary(dictionary)
-
-    def test_dictionary_and_atoms_share_accumulator(self, data,
-                                                    dictionary):
-        """The Dictionary object and its bare atoms array route to one
-        accumulator, whichever the encode path passes."""
-        stats = watch_dictionary(dictionary)
-        try:
-            assert watched_stats(dictionary) is stats
-            assert watched_stats(dictionary.atoms) is stats
-            batch_omp_matrix(dictionary.atoms, data, EPS)  # bare array
-            batch_omp_matrix(dictionary, data, EPS)        # operator
-            assert stats.generation == 2
-            assert stats.columns == 2 * N
-        finally:
-            unwatch_dictionary(dictionary)
-
-    def test_parallel_counts_equal_serial(self, data, dictionary):
-        """workers>1 encodes panels in forked workers; the parent-side
-        post-merge hook must record exactly the serial counts."""
-        wide = np.tile(data, 3)  # 660 columns: three panels, so it forks
-        serial = watch_dictionary(dictionary.atoms)
-        batch_omp_matrix(dictionary.atoms, wide, EPS)
-        unwatch_dictionary(dictionary.atoms)
-
-        parallel = watch_dictionary(dictionary.atoms)
-        try:
-            batch_omp_matrix(dictionary.atoms, wide, EPS, workers=2)
-        finally:
-            unwatch_dictionary(dictionary.atoms)
-        np.testing.assert_array_equal(parallel.counts, serial.counts)
-        np.testing.assert_allclose(parallel.abs_coef_sum,
-                                   serial.abs_coef_sum)
-        np.testing.assert_array_equal(parallel.last_used,
-                                      serial.last_used)
-        assert parallel.generation == serial.generation == 1
-
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_spmd_gathered_deltas_equal_serial(self, data, dictionary,
-                                               backend):
-        """Rank-sharded encodes gather their stats deltas to rank 0;
-        the merged accumulator must equal one serial pass — the same
-        contract the observability counters keep."""
-        from repro.mpi import run_spmd
-
-        serial = AtomStats(L)
-        c, _ = batch_omp_matrix(dictionary.atoms, data, EPS)
-        serial.record(c)
-
-        res = run_spmd(2, _spmd_stats_program, dictionary.atoms, data,
-                       EPS, backend=backend)
-        deltas = next(r for r in res.returns if r is not None)
-        merged = AtomStats.from_deltas(deltas)
-        np.testing.assert_array_equal(merged.counts, serial.counts)
-        np.testing.assert_allclose(merged.abs_coef_sum,
-                                   serial.abs_coef_sum)
-        assert merged.columns == serial.columns == N
-        # shard boundaries split one batch into two generations; the
-        # per-atom recency ordering is what must survive the merge
-        assert merged.generation == 2
-        np.testing.assert_array_equal(merged.last_used >= 0,
-                                      serial.last_used >= 0)
-
-    def test_watch_rejects_size_mismatch(self, dictionary):
-        with pytest.raises(ValueError, match="tracks"):
-            watch_dictionary(dictionary, stats=AtomStats(L + 1))
-
-    def test_record_encode_ignores_unwatched(self, data, dictionary):
-        c, _ = batch_omp_matrix(dictionary.atoms, data, EPS)
-        record_encode(dictionary.atoms, c)  # no watch -> no-op
-
-    def test_weakref_cleanup(self):
-        arr = np.random.default_rng(0).standard_normal((8, 4))
-        watch_dictionary(arr)
-        assert watched_stats(arr) is not None
-        key = id(arr)
-        del arr
-        from repro.online import stats as stats_mod
-        assert key not in stats_mod._WATCHED
-
-
-def _spmd_stats_program(comm, atoms, data, eps):
-    """Rank program: encode my shard, gather stats deltas to rank 0."""
-    from repro.linalg.omp import batch_omp_matrix
-    from repro.online.stats import AtomStats
-
-    rank, size = comm.Get_rank(), comm.Get_size()
-    n = data.shape[1]
-    lo = rank * n // size
-    hi = (rank + 1) * n // size
-    local = AtomStats(atoms.shape[1])
-    c, _ = batch_omp_matrix(atoms, data[:, lo:hi], eps)
-    local.record(c)
-    gathered = comm.gather(local.to_deltas(), root=0)
-    if rank != 0:
-        return None
-    merged = AtomStats.from_deltas(gathered[0])
-    for deltas in gathered[1:]:
-        merged.merge(AtomStats.from_deltas(deltas))
-    return merged.to_deltas()
-
-
-# ----------------------------------------------------------------------
 # Gram staleness: every atom mutation must invalidate deterministically
 # ----------------------------------------------------------------------
 class TestGramInvalidation:
@@ -274,7 +121,7 @@ class TestGramInvalidation:
         the cached G = DᵀD at mutation time — the next lookup recomputes
         from the new atoms."""
         upd = OnlineUpdater(atoms=dictionary.atoms,
-                            indices=dictionary.indices, seed=0)
+                            indices=dictionary.indices)
         before = cached_gram(upd.atoms)
         np.testing.assert_allclose(before, upd.atoms.T @ upd.atoms)
         c, _ = batch_omp_matrix(upd.atoms, data, EPS)
@@ -286,7 +133,7 @@ class TestGramInvalidation:
 
     def test_evict_dead_never_serves_stale_gram(self, data, dictionary):
         upd = OnlineUpdater(atoms=dictionary.atoms,
-                            indices=dictionary.indices, seed=0)
+                            indices=dictionary.indices)
         cached_gram(upd.atoms)
         replaced = upd.evict_dead(np.array([0, 1]), data[:, :2],
                                   source_indices=np.array([0, 1]))
@@ -298,7 +145,7 @@ class TestGramInvalidation:
         """End to end: encodes bracketing a refresh must each match a
         cold encode against the atoms of that moment (no torn Gram)."""
         upd = OnlineUpdater(atoms=dictionary.atoms,
-                            indices=dictionary.indices, seed=0)
+                            indices=dictionary.indices)
         c0, _ = batch_omp_matrix(upd.atoms, data, EPS)
         upd.observe(data, c0)
         upd.refresh_atoms()
@@ -401,8 +248,6 @@ class TestOnlineUpdater:
             OnlineUpdateConfig(forgetting=0.0)
         with pytest.raises(ValidationError):
             OnlineUpdateConfig(forgetting=1.5)
-        with pytest.raises(ValidationError):
-            OnlineUpdateConfig(min_usage=-1)
 
 
 # ----------------------------------------------------------------------
@@ -563,6 +408,25 @@ class TestSketch:
         assert r1.best_size == r2.best_size
         assert r1.table == r2.table
 
+    def test_one_alpha_batch_per_sweep(self, data, monkeypatch):
+        """The sketched tuner runs the exact tuner's sweep: every
+        candidate's trials go out as one trial-parallel batch."""
+        from repro.core import alpha
+
+        batches = []
+        real = alpha._run_alpha_tasks
+
+        def spy(a, payloads, *args, **kw):
+            batches.append(len(payloads))
+            return real(a, payloads, *args, **kw)
+
+        monkeypatch.setattr(alpha, "_run_alpha_tasks", spy)
+        model = CostModel(platform_by_name("2x8"))
+        tune_dictionary_size_sketched(
+            data, 0.25, model, candidates=[16, 24, 36], seed=11, trials=2,
+            sketch=SketchConfig(dim=16, columns=120))
+        assert batches == [3 * 2]
+
 
 # ----------------------------------------------------------------------
 # The maintainer: end to end
@@ -691,10 +555,58 @@ class TestMaintainer:
         assert s["atom_usage"]["atoms"] == L
         assert s["updater"]["minibatches"] == 2
 
-    def test_close_detaches_stats(self, data):
-        mnt = OnlineMaintainer(data, _fit(data), seed=0)
-        mnt.close()
-        assert watched_stats(mnt.updater.atoms) is None
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_stats_record_exactly_the_step_encodes(self, monkeypatch,
+                                                   workers):
+        """The maintainer's AtomStats holds the codes of its own step
+        encodes, once per step, and no other encode of its atoms.  A
+        512-column batch forks at workers=2 and must record the counts
+        of the serial encode."""
+        import repro.online.maintainer as maintainer_mod
+
+        wide, _ = union_of_subspaces(M, 1024, n_subspaces=4, dim=3,
+                                     noise=0.01, seed=7)
+        codes = []
+        real = maintainer_mod.batch_omp_matrix
+
+        def spy(atoms, x, eps, **kw):
+            # serial codes of the step's inputs, taken before the step
+            # refreshes the atoms in place
+            codes.append(real(atoms.copy(), x, eps)[0])
+            return real(atoms, x, eps, **kw)
+
+        monkeypatch.setattr(maintainer_mod, "batch_omp_matrix", spy)
+        transform = _fit(wide)
+        transform.dictionary.atoms[:, 3] = 0.0  # dead, so re-seeded
+        mnt = OnlineMaintainer(wide, transform, seed=0, workers=workers,
+                               config=MaintenanceConfig(batch=512))
+        reports = mnt.run(3)
+        assert 3 in reports[0]["atoms_reseeded"]
+        expect = AtomStats(L)
+        for c, report in zip(codes, reports, strict=True):
+            expect.record(c)
+            for j in report["atoms_reseeded"]:
+                expect.reset_atom(j)
+
+        def assert_equal(stats):
+            for field in ("counts", "abs_coef_sum", "last_used"):
+                np.testing.assert_array_equal(getattr(stats, field),
+                                              getattr(expect, field))
+            assert (stats.columns, stats.generation) == (3 * 512, 3)
+
+        assert_equal(mnt.stats)
+        batch_omp_matrix(mnt.updater.atoms, wide, EPS, workers=workers)
+        assert_equal(mnt.stats)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("refresh_every", 0), ("retune_after", 0), ("batch", 0),
+        ("warmup_columns", -1), ("dead_min_count", -1),
+        ("max_reseed", -1), ("fresh_bias", 1.5)])
+    def test_config_validation(self, knob, value):
+        with pytest.raises(ValidationError, match=knob):
+            MaintenanceConfig(**{knob: value})
+        MaintenanceConfig(warmup_columns=0, dead_min_count=0,
+                          max_reseed=0)
 
     def test_curve_from_tuning_result(self, data):
         model = CostModel(platform_by_name("2x8"))
@@ -727,3 +639,17 @@ class TestExtDictMaintain:
         with pytest.raises(ValidationError):
             ext.maintain(None)
 
+
+class TestLayering:
+    def test_encode_engine_does_not_import_online(self):
+        """The encode engine sits below repro.online: importing it in a
+        fresh interpreter loads no repro.online module."""
+        src = Path(repro.__file__).resolve().parents[1]
+        script = ("import sys, repro.linalg.omp; print(sorted(m for m in "
+                  "sys.modules if m.startswith('repro.online')))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"

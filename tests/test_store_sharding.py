@@ -14,7 +14,12 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.core.exd import exd_transform, exd_transform_distributed
+from repro.core.dictionary import sample_dictionary
+from repro.core.exd import (
+    exd_transform,
+    exd_transform_distributed,
+    normalize_columns,
+)
 from repro.errors import ValidationError
 from repro.platform.presets import platform_by_name
 from repro.store import ColumnStore
@@ -70,12 +75,17 @@ class TestShardPlan:
 
 class TestSampleStoreDictionary:
     def test_matches_in_memory_sample(self, store):
-        """The module-level sampler is the streaming encoder's replay:
-        same seed, same panel-aligned normalisation, same atoms."""
-        d1 = sample_store_dictionary(store, 30, seed=5)
-        d2 = sample_store_dictionary(store, 30, seed=5)
-        np.testing.assert_array_equal(d1.atoms, d2.atoms)
-        np.testing.assert_array_equal(d1.indices, d2.indices)
+        """The store sampler replays the in-memory sample of the
+        normalised matrix bit for bit.  The store's 97-column chunks
+        cut across the 256-column encode panels, and the sampled
+        indices span every panel."""
+        normalized, _ = normalize_columns(store.as_array())
+        for size, seed in ((30, 5), (300, 1)):
+            d = sample_store_dictionary(store, size, seed=seed)
+            ref = sample_dictionary(normalized, size, seed=seed)
+            assert np.unique(d.indices // 256).size == 6
+            np.testing.assert_array_equal(d.indices, ref.indices)
+            np.testing.assert_array_equal(d.atoms, ref.atoms)
 
     def test_unnormalized(self, store):
         d = sample_store_dictionary(store, 10, seed=1, normalize=False)
