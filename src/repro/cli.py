@@ -67,7 +67,7 @@ from repro.core import (
 from repro.data import DATASETS, load_dataset
 from repro.errors import ReproError
 from repro.platform import PAPER_PLATFORM_NAMES, paper_platforms, platform_by_name
-from repro.utils import format_table
+from repro.utils import check_positive_int, format_table
 
 
 def _load_matrix(args):
@@ -418,6 +418,7 @@ def cmd_maintain(args) -> int:
 
     config = MaintenanceConfig(batch=args.batch,
                                refresh_every=args.refresh_every)
+    check_positive_int(args.steps, "steps", minimum=0)
     a = _load_matrix(args)
     if args.transform:
         transform = load_transform(args.transform)

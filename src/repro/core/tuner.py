@@ -14,19 +14,24 @@ space and *is* the (platform-oblivious) choice of the RankMap baseline.
 
 Neither step needs the α of an infeasible size, so both encode strictly:
 an infeasible probe or candidate trial stops at the first 256-column
-panel that holds a column missing ε.  The sketched tuner
+panel that holds a column missing ε.  Nor does the sweep encode a
+candidate Eq. 2/3/4 already rule out: the costs never decrease in
+nnz(C), so once a candidate's cost at nnz = 0 reaches the best row, it
+and every larger candidate are skipped.  The sketched tuner
 (:mod:`repro.online.sketch`) runs the same candidate sweep on a sketch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 from repro import observability as obs
 from repro.core.alpha import measure_alpha_batch
 from repro.core.cost_model import CostModel
 from repro.errors import TuningError
 from repro.linalg.kernels import use_backend
+from repro.linalg.parallel_omp import resolve_workers
 from repro.utils.rng import as_generator, derive_seed
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -42,12 +47,16 @@ class TuningResult:
     objective:
         Which cost was minimised ("time", "energy", "memory").
     table:
-        Per-candidate rows ``(L, alpha, predicted_nnz, cost)`` —
-        infeasible candidates are excluded.
+        Per-candidate rows ``(L, alpha, predicted_nnz, cost)`` in
+        increasing L.  Infeasible candidates are excluded, and so are
+        the dominated ones the sweep skipped: every candidate from the
+        first one whose cost at nnz = 0 reaches the best row (once the
+        table holds two rows).  The rows are those of a full sweep, cut
+        there.
     subset_columns:
         How many data columns the candidate evaluation actually read:
-        the largest α-estimation subset over all *evaluated* candidates
-        (feasible or not).
+        the largest α-estimation subset over the candidates the sweep
+        kept (feasible or not).
     """
 
     best_size: int
@@ -56,7 +65,11 @@ class TuningResult:
     subset_columns: int = 0
 
     def cost_of(self, size: int) -> float:
-        """Predicted cost of a candidate size from the tuning table."""
+        """Predicted cost of a candidate size from the tuning table.
+
+        Raises :class:`KeyError` for a size the table leaves out:
+        infeasible, skipped as dominated, or never a candidate.
+        """
         for l, _alpha, _nnz, cost in self.table:
             if l == size:
                 return cost
@@ -64,7 +77,7 @@ class TuningResult:
 
 
 def default_candidates(m: int, n: int, l_min: int) -> list[int]:
-    """Geometric candidate grid from L_min up to min(4·M, N)."""
+    """Geometric candidate grid from L_min up to min(max(4·M, 2·L_min), N)."""
     upper = min(max(4 * m, 2 * l_min), n)
     sizes = []
     l = max(l_min, 1)
@@ -94,27 +107,55 @@ def _candidate_plan(candidates, n_sub: int, n: int, seed) -> list:
 
 def _candidate_sweep(a, plan, eps: float, cost_model: CostModel,
                      objective: str, m: int, n: int, *, trials: int,
-                     workers) -> list:
+                     workers) -> tuple[list, int]:
     """Eq. 2/3/4 rows ``(L, alpha, predicted_nnz, cost)`` of a sweep.
 
     ``plan`` holds one :func:`measure_alpha_batch` entry
-    ``(columns, L, seed)`` per candidate.  All candidates' trials run
-    as one strict trial-parallel batch on ``a``; infeasible candidates
-    are dropped, and each feasible ``L`` is billed as
-    ``nnz(C) ≈ α(L)·N`` on an ``(M, N) = (m, n)`` matrix, which need
-    not be the shape of ``a`` (the sketched tuner measures α on a
-    sketch).
+    ``(columns, L, seed)`` per candidate, in increasing ``L``.  Each
+    feasible ``L`` is billed as ``nnz(C) ≈ α(L)·N`` on an
+    ``(M, N) = (m, n)`` matrix, which need not be the shape of ``a``
+    (the sketched tuner measures α on a sketch); infeasible candidates
+    are dropped.
+
+    The sweep is a serial scan that stops at the first candidate whose
+    cost at nnz = 0 is at least the best row so far, once the table
+    holds two rows (the drift monitor fits its α(L) curve to them).
+    Eqs. 2–4 never decrease in nnz(C), and their value at nnz = 0 rises
+    with L, so neither that candidate nor any larger one can win, and
+    L* is the full sweep's.  Candidates are encoded in waves of
+    ``workers``, each one strict trial-parallel batch; a wave's results
+    are scanned in L order and any past the stop are discarded, so the
+    rows are the same at every worker count.
+
+    Returns ``(table, kept)``: the rows and the number of leading
+    ``plan`` entries the scan kept, feasible or not.
     """
-    estimates = measure_alpha_batch(a, plan, eps, trials=trials,
-                                    workers=workers, strict=True)
-    table = []
-    for est in estimates:
-        if not est.feasible:
-            continue
-        predicted_nnz = est.mean * n
-        cost = cost_model.objective(objective, m, est.size, predicted_nnz, n)
-        table.append((est.size, est.mean, predicted_nnz, cost))
-    return table
+    table, kept = [], 0
+
+    def admits(size: int) -> bool:
+        return len(table) < 2 or cost_model.objective(
+            objective, m, size, 0, n) < min(row[3] for row in table)
+
+    width = resolve_workers(workers)
+    while kept < len(plan):
+        wave = list(takewhile(lambda entry: admits(entry[1]),
+                              plan[kept:kept + width]))
+        if not wave:
+            break
+        for est in measure_alpha_batch(a, wave, eps, trials=trials,
+                                       workers=workers, strict=True):
+            if not admits(est.size):
+                break  # so the next wave, which starts here, is empty
+            kept += 1
+            if est.feasible:
+                predicted_nnz = est.mean * n
+                cost = cost_model.objective(objective, m, est.size,
+                                            predicted_nnz, n)
+                table.append((est.size, est.mean, predicted_nnz, cost))
+    obs.inc("tuner.candidates_evaluated", kept)
+    obs.inc("tuner.candidates_pruned", len(plan) - kept)
+    obs.inc("tuner.candidates_feasible", len(table))
+    return table, kept
 
 
 def find_min_feasible_size(a, eps: float, *, seed=None,
@@ -214,10 +255,12 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
     subset_fraction:
         Fraction of columns used for α estimation, in (0, 1].
     workers:
-        Worker count for the candidate sweep: all candidates' trials
-        run as one trial-parallel batch.  The feasibility probes that
-        pick the default candidates run in the caller.  The table and
-        L* are identical to the serial run.
+        Worker count for the candidate sweep, which encodes the
+        candidates in waves of ``workers``, each wave's trials one
+        trial-parallel batch, and stops at the first candidate Eq.
+        2/3/4 rule out.  The feasibility probes that pick the default
+        candidates run in the caller.  The table, ``subset_columns``
+        and L* are identical to the serial run.
     backend:
         OMP kernel backend for every α-estimation encode (see
         :mod:`repro.linalg.kernels`).  ``None`` keeps the process
@@ -248,12 +291,11 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
                              for c in candidates})
 
         plan = _candidate_plan(candidates, n_sub, n, seed)
-        table = _candidate_sweep(
+        table, kept = _candidate_sweep(
             a, [(order[:n_eff], l, cseed) for l, n_eff, cseed in plan], eps,
             cost_model, objective, m, n, trials=trials, workers=workers)
-        columns_read = max((n_eff for _, n_eff, _ in plan), default=0)
-    obs.inc("tuner.candidates_evaluated", len(candidates))
-    obs.inc("tuner.candidates_feasible", len(table))
+        columns_read = max((n_eff for _, n_eff, _ in plan[:kept]),
+                           default=0)
     if not table:
         raise TuningError(
             f"no feasible candidate among {candidates} at eps={eps}")

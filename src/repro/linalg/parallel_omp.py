@@ -10,13 +10,14 @@ sparse coding.  This module provides the single-host machinery:
   path is built on: the column-parallel encode of
   :func:`~repro.linalg.omp.batch_omp_matrix` (one task per fixed-width
   panel, each worker computing its own ``DᵀA`` panels), the
-  trial-parallel α estimators (the tuner's whole candidate sweep is one
-  map) and the dense baselines.  The caller runs one interleaved share
-  of the payloads itself and forks one daemonic worker per other share;
-  workers inherit the function, the shared state and the payloads at
-  fork time (copy-on-write, nothing is pickled on the way in) and send
-  their results back in one pipe message each, together with the
-  counters, histograms and spans they recorded.  Results come back in
+  trial-parallel α estimators (the tuner's candidate sweep is one map
+  per wave of candidates) and the dense baselines.  The caller runs
+  one interleaved share of the payloads itself and forks one daemonic
+  worker per other share; workers inherit the function, the shared
+  state and the payloads at fork time (copy-on-write, nothing is
+  pickled on the way in) and send their results back in one pipe
+  message each, together with the counters, histograms and spans
+  they recorded.  Results come back in
   payload order, and a failing task raises in the caller exactly as a
   serial loop would.
 * :func:`encode_columns` — the serving daemon's micro-batch encode.

@@ -39,6 +39,7 @@ from repro.online.drift import AlphaCurve, DriftConfig, DriftMonitor
 from repro.online.stats import AtomStats
 from repro.online.update import OnlineUpdateConfig, OnlineUpdater
 from repro.utils.rng import as_generator, derive_seed
+from repro.utils.validation import check_positive_int
 
 __all__ = ["MaintenanceConfig", "OnlineMaintainer"]
 
@@ -239,7 +240,8 @@ class OnlineMaintainer:
 
     def run(self, steps: int) -> list[dict]:
         """Run ``steps`` maintenance steps; returns their reports."""
-        return [self.step() for _ in range(int(steps))]
+        steps = check_positive_int(steps, "steps", minimum=0)
+        return [self.step() for _ in range(steps)]
 
     @property
     def retune_recommended(self) -> bool:

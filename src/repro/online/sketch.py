@@ -98,9 +98,11 @@ class SketchConfig:
 class SketchedTuningResult(TuningResult):
     """A :class:`~repro.core.tuner.TuningResult` plus sketch accounting.
 
-    ``subset_columns`` reports the sketched sample size (the columns
-    actually read); ``bytes_read`` / ``chunks_read`` the store I/O the
-    sketch cost, for direct comparison with the exact estimator's.
+    ``sketch_columns`` reports the sketched sample size (the store
+    columns actually read), and ``subset_columns`` the largest α subset
+    of the sketch among the candidates the sweep kept;
+    ``bytes_read`` / ``chunks_read`` the store I/O the sketch cost, for
+    direct comparison with the exact estimator's.
     """
 
     sketch_dim: int = 0
@@ -186,9 +188,10 @@ def tune_dictionary_size_sketched(a, eps: float, cost_model: CostModel, *,
     """Pick L* from a sketched sample instead of raw subset columns.
 
     Runs :func:`repro.core.tuner.tune_dictionary_size`'s candidate
-    sweep — the same candidate plan, one strict trial-parallel batch
-    of α trials, the same Eq. 2/3/4 rows — but every encode runs on
-    the ``(k, n_sketch)`` sketch, and Eq. 2/3/4 are billed with the
+    sweep — the same candidate plan, strict trial-parallel waves of
+    ``workers`` candidates that stop at the first one Eq. 2/3/4 rule
+    out, the same Eq. 2/3/4 rows — but every encode runs on the
+    ``(k, n_sketch)`` sketch, and Eq. 2/3/4 are billed with the
     *original* ``M`` and ``N`` so the returned costs live on the same
     scale as the exact tuner's table.  Each candidate's subset is the
     sorted prefix ``order[:n_eff]`` of one permutation of the sketch's
@@ -249,18 +252,17 @@ def tune_dictionary_size_sketched(a, eps: float, cost_model: CostModel, *,
                     2)
         order = rng.permutation(n_sketch)
         plan = _candidate_plan(cand_sorted, n_sub, n_sketch, seed)
-        table = _candidate_sweep(
+        table, kept = _candidate_sweep(
             sketched,
             [(np.sort(order[:n_eff]), l, cseed) for l, n_eff, cseed in plan],
             eps, cost_model, objective, m, n, trials=trials, workers=workers)
-        columns_read = max((n_eff for _, n_eff, _ in plan), default=0)
+        columns_read = max((n_eff for _, n_eff, _ in plan[:kept]),
+                           default=0)
 
         bytes_read = obs.REGISTRY.counter("store.bytes_read") - bytes_before
         chunks_read = (obs.REGISTRY.counter("store.chunks_read")
                        - chunks_before)
 
-    obs.inc("tuner.candidates_evaluated", len(cand_sorted))
-    obs.inc("tuner.candidates_feasible", len(table))
     if not table:
         raise TuningError(
             f"no feasible candidate among {cand_sorted} at eps={eps} "

@@ -4,7 +4,7 @@ Each class pins one historical bug:
 
 * ``TestSubsetColumnsConsistency`` — the tuner reported
   ``2·max(feasible candidate)`` columns instead of the columns its
-  evaluated candidates actually read.
+  kept candidates actually read.
 * ``TestPowerMethodSpectrumExhaustion`` — asking for more eigenpairs
   than the Gram matrix's rank used to append zero vectors and phantom
   ``0.0`` eigenvalues instead of truncating.
@@ -41,17 +41,21 @@ def tuning_data():
 
 class TestSubsetColumnsConsistency:
     CANDIDATES = [40, 60, 90]
+    #: 90 is dominated: its Eq. 2 cost at nnz = 0 reaches the best row,
+    #: so the sweep never encodes it
+    KEPT = [40, 60]
 
     def test_reports_columns_actually_read(self, tuning_data):
-        """subset_columns is max over EVALUATED candidates, feasible or
-        not — the columns the run actually touched."""
+        """subset_columns is max over the candidates the sweep KEPT,
+        feasible or not — the columns the run actually touched."""
         n = tuning_data.shape[1]
         n_sub = max(min(n, int(round(0.25 * n))), 2)
         model = CostModel(platform_by_name("1x4"))
         result = tune_dictionary_size(tuning_data, 0.1, model,
                                       candidates=self.CANDIDATES, seed=3)
-        expected = max(min(max(n_sub, 2 * l), n) for l in self.CANDIDATES)
-        assert result.subset_columns == expected
+        assert [row[0] for row in result.table] == self.KEPT
+        expected = max(min(max(n_sub, 2 * l), n) for l in self.KEPT)
+        assert result.subset_columns == expected == 120
 
 
 class TestPowerMethodSpectrumExhaustion:

@@ -219,6 +219,13 @@ class TestMaintainCommand:
                      "--refresh-every", "0"]) == 1
         assert "refresh_every" in capsys.readouterr().err
 
+    def test_negative_steps_is_an_error(self, capsys):
+        assert main(["maintain", "--dataset", "salina", "--n", "256",
+                     "--size", "16", "--steps", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert "error: steps must be >= 0" in captured.err
+        assert "fitted initial D" not in captured.out
+
 
 class TestParser:
     def test_unknown_command_exits(self):

@@ -404,3 +404,132 @@ class TestInfeasibleCandidates:
             tune_dictionary_size(a, 0.001, model, seed=0,
                                  subset_fraction=1.0, candidates=[2, 3])
         assert panels[0] == 2
+
+
+def _reference_sweep(a, eps, model, objective, candidates, *, seed,
+                     subset_fraction=0.25, trials=1):
+    """Every candidate's strict α estimate, then the serial cut.
+
+    Returns ``(full_table, table, subset_columns, kept)``: the Eq. 2/3/4
+    rows of all feasible candidates, the rows the serial scan keeps (it
+    stops at the first candidate whose cost at nnz = 0 is at least the
+    best row so far, once two rows are in), the largest subset among
+    the kept candidates and their count.
+    """
+    m, n = a.shape
+    order = as_generator(seed).permutation(n)
+    n_sub = max(min(n, int(round(subset_fraction * n))), 2)
+    plan = tuner._candidate_plan(sorted(set(candidates)), n_sub, n, seed)
+    estimates = measure_alpha_batch(
+        a, [(order[:n_eff], l, s) for l, n_eff, s in plan], eps,
+        trials=trials, strict=True)
+    rows = [(est.size, est.mean, est.mean * n,
+             model.objective(objective, m, est.size, est.mean * n, n))
+            if est.feasible else None for est in estimates]
+    table, kept = [], 0
+    for est, row in zip(estimates, rows):
+        if len(table) >= 2 and model.objective(objective, m, est.size, 0,
+                                               n) >= min(r[3] for r in table):
+            break
+        kept += 1
+        if row is not None:
+            table.append(row)
+    full = [row for row in rows if row is not None]
+    return full, table, max(n_eff for _, n_eff, _ in plan[:kept]), kept
+
+
+class TestDominatedCandidates:
+    """The sweep stops at the first candidate Eq. 2/3/4 rule out."""
+
+    #: on the union data at eps=0.1, seed=3: 2..20 infeasible, 24 and 40
+    #: feasible, 60 the first dominated candidate — the second of the
+    #: fourth wave of two
+    GRID = [2, 3, 12, 16, 20, 24, 40, 60, 90]
+    KEPT = 7
+
+    @pytest.mark.parametrize("objective", ["time", "energy", "memory"])
+    def test_matches_cut_reference_sweep(self, data, objective):
+        a, _ = data
+        model = CostModel(platform_by_name("1x4"))
+        full, table, columns, kept = _reference_sweep(
+            a, 0.1, model, objective, self.GRID, seed=3)
+        assert kept == self.KEPT and len(table) < len(full)
+        best = min(table, key=lambda row: row[3])[0]
+        assert best == min(full, key=lambda row: row[3])[0]
+        for workers in (None, 2):
+            res = tune_dictionary_size(a, 0.1, model, objective=objective,
+                                       candidates=self.GRID, seed=3,
+                                       workers=workers)
+            assert res.table == table == full[:len(table)]
+            assert res.best_size == best
+            assert res.subset_columns == columns
+
+    def test_cut_inside_a_wave_discards_the_rest(self, data, monkeypatch):
+        from repro.core import alpha
+
+        a, _ = data
+        waves = []
+        real = alpha._run_alpha_tasks
+
+        def spy(a, payloads, *args, **kw):
+            waves.append([size for _cols, size, _seed in payloads])
+            return real(a, payloads, *args, **kw)
+
+        monkeypatch.setattr(alpha, "_run_alpha_tasks", spy)
+        model = CostModel(platform_by_name("1x4"))
+        res = tune_dictionary_size(a, 0.1, model, candidates=self.GRID,
+                                   seed=3, workers=2)
+        assert waves == [[2, 3], [12, 16], [20, 24], [40, 60]]
+        assert [row[0] for row in res.table] == [24, 40]
+
+    def test_dominated_candidates_are_never_encoded(self, data,
+                                                    monkeypatch):
+        from repro.core import alpha
+
+        a, _ = data
+        encoded = []
+        real = alpha._alpha_task
+
+        def spy(shared, payload, workers=None):
+            encoded.append(payload[1])
+            return real(shared, payload, workers=workers)
+
+        monkeypatch.setattr(alpha, "_alpha_task", spy)
+        model = CostModel(platform_by_name("1x4"))
+        tune_dictionary_size(a, 0.1, model, candidates=self.GRID, seed=3,
+                             trials=2)
+        assert encoded == [l for l in self.GRID[:self.KEPT]
+                           for _ in range(2)]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_two_row_floor(self, data, workers):
+        """On one processor 48's cost at nnz = 0 already exceeds 24's
+        row, but the table keeps two feasible rows for the drift
+        monitor's α(L) fit; 64 is then cut."""
+        a, _ = data
+        m, n = a.shape
+        model = CostModel(platform_by_name("1x1"))
+        res = tune_dictionary_size(a, 0.1, model, candidates=[24, 48, 64],
+                                   seed=3, workers=workers)
+        assert [row[0] for row in res.table] == [24, 48]
+        assert model.time(m, 48, 0) >= res.cost_of(24)
+        with pytest.raises(KeyError):
+            res.cost_of(64)
+
+    @pytest.mark.parametrize("tune", [
+        tune_dictionary_size, sketch.tune_dictionary_size_sketched])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_counters_cover_every_candidate(self, data, tune, workers):
+        a, _ = data
+        model = CostModel(platform_by_name("1x4"))
+        with obs.observed():
+            res = tune(a, 0.1, model, candidates=self.GRID, seed=3,
+                       workers=workers)
+            evaluated = obs.REGISTRY.counter("tuner.candidates_evaluated")
+            pruned = obs.REGISTRY.counter("tuner.candidates_pruned")
+            feasible = obs.REGISTRY.counter("tuner.candidates_feasible")
+        assert pruned > 0
+        assert evaluated + pruned == len(self.GRID)
+        assert feasible == len(res.table)
+        if tune is tune_dictionary_size:
+            assert (evaluated, pruned) == (self.KEPT, 2)
