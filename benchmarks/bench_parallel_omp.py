@@ -117,73 +117,3 @@ def test_worker_scaling_report(benchmark, report, problem):
                  f"{cores}x workers measure pool overhead, not scaling")
     report("parallel_omp_scaling", table + note)
 
-
-def test_kernel_backend_report(benchmark, report, problem):
-    """Dense-regime kernel comparison at workers=1 (ROADMAP item 2).
-
-    Every *available* backend encodes the same panel serially; compiled
-    backends must reproduce the numpy reference's supports exactly and
-    its coefficients within the documented tolerance, measured on the
-    timed runs themselves.  The acceptance bar — numba >= 5x over numpy
-    at workers=1 — is recorded in the speedup column when numba is
-    importable; unavailable backends are listed with the reason so a
-    numpy-only run is self-explanatory.
-    """
-    from repro.linalg.kernels import (
-        COEF_ATOL,
-        COEF_RTOL,
-        get_backend,
-        registered_backend_names,
-    )
-    from repro.linalg.kernels import _REGISTRY
-
-    a, d = problem
-
-    def run(name):
-        return batch_omp_matrix(d, a, EPS, backend=name)
-
-    def sweep():
-        times, outputs, skipped = {}, {}, []
-        for name in registered_backend_names():
-            cls = _REGISTRY[name]
-            if not cls.available():
-                skipped.append((name, cls.unavailable_reason()
-                                or "dependency not importable"))
-                continue
-            # pay JIT compilation outside the timed region
-            get_backend(name).warmup()
-            run(name)
-            t0 = time.perf_counter()
-            outputs[name] = run(name)
-            times[name] = time.perf_counter() - t0
-        return times, outputs, skipped
-
-    times, outputs, skipped = benchmark.pedantic(sweep, rounds=1,
-                                                 iterations=1)
-    c_ref, s_ref = outputs["numpy"]
-    for name, (c, s) in outputs.items():
-        np.testing.assert_array_equal(c.indptr, c_ref.indptr)
-        np.testing.assert_array_equal(c.indices, c_ref.indices)
-        np.testing.assert_allclose(c.data, c_ref.data,
-                                   rtol=COEF_RTOL, atol=COEF_ATOL)
-        assert s.total_iterations == s_ref.total_iterations
-
-    t_ref = times["numpy"]
-    rows = []
-    for name in sorted(times):
-        rows.append([name, f"{times[name] * 1e3:.0f}",
-                     f"{t_ref / max(times[name], 1e-9):.2f}x"])
-    table = format_table(
-        ["backend", "wall time (ms)", "speedup vs numpy"],
-        rows, title=f"OMP kernel backends, serial encode (M={M}, N={N}, "
-                    f"L={L}, eps={EPS}, workers=1)")
-    note = ("\nsupports identical and coefficients within "
-            f"rtol={COEF_RTOL}/atol={COEF_ATOL} of the numpy reference "
-            "on the timed runs")
-    for name, reason in skipped:
-        note += f"\nskipped backend {name!r}: {reason}"
-    report("omp_kernel_backends", table + note)
-    if "numba" in times:
-        assert t_ref / times["numba"] >= 5.0, (
-            f"numba speedup {t_ref / times['numba']:.2f}x below the "
-            f"5x acceptance bar")

@@ -103,17 +103,10 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
                         help="parallel encode/tuning workers: omit for "
                              "serial, -1 for all cores (results are "
                              "identical for every value)")
-    _add_backend_argument(parser)
+    _add_mpi_backend_argument(parser)
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="OMP kernel backend: 'numpy' (reference), "
-                             "a compiled backend such as 'numba', or "
-                             "'auto' to prefer whichever compiled "
-                             "backend is importable (default: the "
-                             "REPRO_OMP_BACKEND environment variable, "
-                             "then 'numpy')")
+def _add_mpi_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mpi-backend", default=None,
                         choices=("threads", "processes", "auto"),
                         help="SPMD execution backend for emulated runs "
@@ -388,7 +381,7 @@ def cmd_serve(args) -> int:
                   if args.platform else None)
     app = ServeApp(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
                    max_queue=args.max_queue, timeout_ms=args.timeout_ms,
-                   cost_model=cost_model, backend=args.backend)
+                   cost_model=cost_model)
     for spec in args.transform or []:
         tenant, path = _parse_transform_spec(spec)
         gen = app.registry.load(tenant, path)
@@ -438,8 +431,7 @@ def cmd_maintain(args) -> int:
         print(f"fitted initial D {transform.m}x{transform.l} from the "
               f"first {init} columns (eps={args.eps})")
     maintainer = OnlineMaintainer(a, transform, config=config,
-                                  seed=args.seed, workers=args.workers,
-                                  backend=args.backend)
+                                  seed=args.seed, workers=args.workers)
     for rep in maintainer.run(args.steps):
         notes = []
         if rep["drift_fired"]:
@@ -609,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="bill per-tenant Eq. 2/3 costs against this "
                             "platform's cost model")
-    _add_backend_argument(p_srv)
+    _add_mpi_backend_argument(p_srv)
 
     p_mnt = sub.add_parser("maintain", help="drift-aware online "
                                             "dictionary maintenance")
@@ -678,18 +670,12 @@ def main(argv=None) -> int:
         observability.reset()
         observability.enable()
     try:
-        # Make --backend the process default for the whole command so
-        # every encode it runs (including fork workers, which inherit
-        # the resolved name) uses the requested kernel.  ``use_backend``
-        # validates eagerly and restores the prior default on exit.
-        from repro.linalg.kernels import use_backend
         from repro.mpi import set_default_mpi_backend
 
         # --mpi-backend installs the process-wide SPMD backend default
         # (argument > this default > REPRO_MPI_BACKEND > auto).
         set_default_mpi_backend(getattr(args, "mpi_backend", None))
-        with use_backend(getattr(args, "backend", None)):
-            return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,6 @@ from repro import observability as obs
 from repro.core.alpha import measure_alpha_batch
 from repro.core.cost_model import CostModel
 from repro.errors import TuningError
-from repro.linalg.kernels import use_backend
 from repro.linalg.parallel_omp import resolve_workers
 from repro.utils.rng import as_generator, derive_seed
 from repro.utils.validation import check_fraction, check_positive_int
@@ -161,8 +160,7 @@ def _candidate_sweep(a, plan, eps: float, cost_model: CostModel,
 def find_min_feasible_size(a, eps: float, *, seed=None,
                            subset_fraction: float = 0.25,
                            trials: int = 1,
-                           max_size: int | None = None,
-                           backend=None) -> int:
+                           max_size: int | None = None) -> int:
     """Smallest L whose random dictionary meets ε on every column.
 
     Uses doubling + bisection on a random column subset.  Feasibility is
@@ -178,8 +176,7 @@ def find_min_feasible_size(a, eps: float, *, seed=None,
     ``subset_fraction`` must lie in (0, 1] and ``max_size``, when
     given, must be a positive integer.  ``a`` may be a
     :class:`~repro.store.ColumnStore`; the probes then read only their
-    subset columns from disk.  ``backend`` selects the OMP kernel (see
-    :mod:`repro.linalg.kernels`) for every probe encode.
+    subset columns from disk.
     """
     from repro.store.column_store import check_matrix_or_store, take_columns
 
@@ -209,7 +206,7 @@ def find_min_feasible_size(a, eps: float, *, seed=None,
                                    eps, trials=trials,
                                    strict=True)[0].feasible
 
-    with obs.span("tuner.find_min_feasible"), use_backend(backend):
+    with obs.span("tuner.find_min_feasible"):
         lo, hi = 1, None
         l = max(2, min(8, limit))
         while l <= limit:
@@ -238,8 +235,7 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
                          objective: str = "time", candidates=None,
                          subset_fraction: float = 0.25, trials: int = 1,
                          seed=None,
-                         workers: int | None = None,
-                         backend=None) -> TuningResult:
+                         workers: int | None = None) -> TuningResult:
     """Pick L* minimising the platform cost (Sec. VII protocol).
 
     Parameters
@@ -261,10 +257,6 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
         2/3/4 rule out.  The feasibility probes that pick the default
         candidates run in the caller.  The table, ``subset_columns``
         and L* are identical to the serial run.
-    backend:
-        OMP kernel backend for every α-estimation encode (see
-        :mod:`repro.linalg.kernels`).  ``None`` keeps the process
-        default.
 
     Raises
     ------
@@ -281,7 +273,7 @@ def tune_dictionary_size(a, eps: float, cost_model: CostModel, *,
     n_sub = max(min(n, int(round(subset_fraction * n))), 2)
     order = rng.permutation(n)
 
-    with obs.span("tuner.tune"), use_backend(backend):
+    with obs.span("tuner.tune"):
         if candidates is None:
             l_min = find_min_feasible_size(a, eps, seed=derive_seed(seed, 7),
                                            subset_fraction=subset_fraction,

@@ -41,16 +41,6 @@ class ConvergenceError(ReproError, RuntimeError):
         self.residual = residual
 
 
-class KernelError(ReproError, ValueError):
-    """An OMP kernel backend is unknown, unavailable or misconfigured.
-
-    Raised by :mod:`repro.linalg.kernels` when resolving a backend name
-    (``REPRO_OMP_BACKEND``, CLI ``--backend`` or an explicit ``backend=``
-    argument) fails — an unregistered name, or a registered backend whose
-    dependency (numba) is not importable.
-    """
-
-
 class DictionaryError(ReproError, RuntimeError):
     """The sampled dictionary cannot satisfy the requested tolerance.
 

@@ -6,14 +6,6 @@ Batch-OMP variant with progressive Cholesky updates is the one the paper
 uses ("we use Batch-OMP based on Cholesky factorization updates [32]").
 """
 
-from repro.linalg.kernels import (
-    OMPKernelBackend,
-    available_backends,
-    registered_backend_names,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
 from repro.linalg.omp import (
     BatchOMPStats,
     OMPResult,
@@ -33,12 +25,6 @@ from repro.linalg.power_iteration import power_iteration, top_eigenpairs
 from repro.linalg.norms import frobenius_norm, relative_frobenius_error
 
 __all__ = [
-    "OMPKernelBackend",
-    "available_backends",
-    "registered_backend_names",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
     "BatchOMPStats",
     "OMPResult",
     "omp_solve",

@@ -6,8 +6,8 @@ for column:
 * :func:`batch_omp_column` — the per-column reference.  Plain
   sequential substitution on python floats for the ``k ≤ ~4`` Cholesky
   work, numpy only for the ``O(L)`` argmax and correlation refresh.  It
-  is the oracle the other backends are measured against, and the path
-  narrow calls take (serve micro-batches hold one or two columns).
+  is the lockstep loop's bit-exact oracle, and the path narrow calls
+  take (serve micro-batches hold one or two columns).
 * :func:`lockstep_columns` — the lockstep panel kernel.  Each step
   advances every still-active column of a panel by one greedy
   iteration: a batched argmax over the ``(n, L)`` correlation block,
@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from repro.linalg.kernels import OMPKernelBackend, register_backend
 
 __all__ = ["NumpyBackend", "batch_omp_column", "lockstep_columns"]
 
@@ -355,9 +353,8 @@ def lockstep_columns(gram, dta_panel, col_sq, eps: float,
                      max_atoms: int | None) -> list:
     """Greedy-code every column of one panel in lockstep.
 
-    Same arguments and results as
-    :meth:`OMPKernelBackend.batch_omp_columns`, bit-identical to
-    :func:`batch_omp_column` applied column by column.
+    Same arguments and results as :meth:`NumpyBackend.batch_omp_columns`,
+    bit-identical to :func:`batch_omp_column` applied column by column.
     """
     gram = np.asarray(gram, dtype=np.float64)
     l = gram.shape[0]
@@ -399,15 +396,22 @@ def lockstep_columns(gram, dta_panel, col_sq, eps: float,
     return out
 
 
-@register_backend
-class NumpyBackend(OMPKernelBackend):
-    """Default backend: the lockstep panel loop, per-column when narrow."""
+class NumpyBackend:
+    """The Batch-OMP kernel: the lockstep panel loop, per-column when narrow."""
 
     name = "numpy"
-    compiled = False
 
     def batch_omp_columns(self, gram, dta_panel, col_sq, eps: float,
                           max_atoms: int | None):
+        """Greedy-code every column of one precomputed panel.
+
+        ``gram`` is ``DᵀD`` ``(L, L)``, ``dta_panel`` the panel's ``DᵀA``
+        ``(L, k)`` and ``col_sq`` its ``‖a_j‖²`` ``(k,)``; ``eps`` is
+        Eq. 1's relative tolerance and ``max_atoms`` an optional cap.
+        Returns one ``(support, coefficients, res_sq, iterations,
+        converged)`` tuple per column, in column order, with the support
+        in selection order (the orchestration layer sorts).
+        """
         from repro.linalg.omp import ENCODE_BLOCK_COLS
 
         n = dta_panel.shape[1]

@@ -363,8 +363,7 @@ def _encode_range(shared, bounds: tuple[int, int]):
 def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
                      strict: bool = False,
                      gram: np.ndarray | None = None,
-                     workers: int | None = None,
-                     backend=None) \
+                     workers: int | None = None) \
         -> tuple[CSCMatrix, BatchOMPStats]:
     """Sparse-code every column of ``a`` against dictionary ``d``.
 
@@ -393,16 +392,6 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
         Precomputed ``DᵀD``.  When omitted, it is obtained through the
         process-wide Gram cache, so repeated encodes against the same
         dictionary object skip the ``O(M·L²)`` product.
-    backend:
-        Which :mod:`~repro.linalg.kernels` implementation runs the
-        per-column greedy loop: a name (``"numpy"``, ``"numba"``,
-        ``"auto"``), a backend instance, or ``None`` for the
-        process/environment default (``REPRO_OMP_BACKEND``).  All
-        FLOP/metric accounting stays here in the orchestration layer,
-        so Eq. 2/3 numbers are backend-independent; results are
-        bit-identical across the serial/parallel/streaming/serving
-        paths *for any fixed backend*, and within the kernels package's
-        documented tolerance across backends.
 
     Raises
     ------
@@ -433,7 +422,7 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
         raise ValidationError(
             f"incompatible shapes: D({m}, {l}), A{a.shape}")
     eps, max_atoms = check_encode_args(eps, max_atoms)
-    kernel = resolve_backend(backend)
+    kernel = resolve_backend()
     n = a.shape[1]
     nworkers = parallel_omp.resolve_workers(workers)
     tasks = (encode_block_bounds(n) if nworkers > 1 else None) or [(0, n)]
@@ -449,9 +438,6 @@ def batch_omp_matrix(d, a, eps: float, *, max_atoms: int | None = None,
             c, total_iters, converged_mask = _encode_range(shared,
                                                            tasks[0])
         else:
-            # Pay any JIT compilation once, before the fork, so workers
-            # inherit the compiled code instead of recompiling it.
-            kernel.warmup()
             obs.inc("pool.chunks", len(tasks))
             obs.set_gauge("pool.workers", nworkers)
             parts = parallel_omp.fork_map(_encode_range, tasks, shared,

@@ -199,27 +199,6 @@ def _can_fork() -> bool:
     return True
 
 
-def _pinned_backend_name() -> str | None:
-    """The concrete kernel name the parent resolves *right now*.
-
-    Fork workers snapshot env/config at fork time, but the parent's own
-    share (and the in-process fallback) runs task-by-task in the parent —
-    if something mutates ``REPRO_OMP_BACKEND`` mid-map, later tasks would
-    silently resolve a different kernel than earlier ones (and than the
-    workers).  Every task therefore runs under one backend pinned here,
-    before the first task.  An unresolvable default (env naming an
-    unknown/unavailable backend) is left unpinned so the task itself
-    raises the usual KernelError instead of the map call.
-    """
-    from repro.errors import KernelError
-    from repro.linalg.kernels import resolve_backend
-
-    try:
-        return resolve_backend(None).name
-    except KernelError:
-        return None
-
-
 def _run_share(fn, shared, payloads, share):
     """Run ``fn`` over the payload indices ``share``, in order.
 
@@ -325,26 +304,20 @@ def fork_map(fn, payloads, shared, workers: int) -> list:
 
     Falls back to an in-process loop — same results, same order —
     whenever forking is unsafe (see :func:`_can_fork`), so nested maps
-    inside a worker run in-process.  The kernel backend the caller
-    resolves at entry is pinned for the whole map, in the caller's share
-    and inherited by every worker (see :func:`_pinned_backend_name`).
+    inside a worker run in-process.
     """
-    from repro.linalg.kernels import use_backend
-
     payloads = list(payloads)
     workers = min(int(workers), len(payloads))
-    with use_backend(_pinned_backend_name()):
-        if workers <= 1 or not _can_fork():
-            return [fn(shared, p) for p in payloads]
-        return _fork_run(fn, payloads, shared, workers)
+    if workers <= 1 or not _can_fork():
+        return [fn(shared, p) for p in payloads]
+    return _fork_run(fn, payloads, shared, workers)
 
 
 # ----------------------------------------------------------------------
 # Shared-G micro-batch encode (the serving daemon's kernel)
 # ----------------------------------------------------------------------
 def encode_columns(d, columns, eps: float, *,
-                   max_atoms: int | None = None,
-                   backend=None):
+                   max_atoms: int | None = None):
     """Sparse-code a stack of columns against ``d``, sharing one ``G``.
 
     ``d`` may be a dense array or any ``DictOperator`` (the serving
@@ -369,8 +342,7 @@ def encode_columns(d, columns, eps: float, *,
     if columns.ndim != 2:
         raise ValidationError(
             f"columns must be 2-D (M, k), got {columns.ndim}-D")
-    c, stats = batch_omp_matrix(d, columns, eps, max_atoms=max_atoms,
-                                backend=backend)
+    c, stats = batch_omp_matrix(d, columns, eps, max_atoms=max_atoms)
     results = []
     for j in range(columns.shape[1]):
         lo, hi = int(c.indptr[j]), int(c.indptr[j + 1])

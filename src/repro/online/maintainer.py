@@ -93,8 +93,8 @@ class OnlineMaintainer:
 
     def __init__(self, a, transform, *, curve=None,
                  config: MaintenanceConfig | None = None,
-                 seed: int | None = None, workers: int | None = None,
-                 backend=None) -> None:
+                 seed: int | None = None,
+                 workers: int | None = None) -> None:
         from repro.store.column_store import check_matrix_or_store
 
         self.a = check_matrix_or_store(a, "A")
@@ -102,7 +102,6 @@ class OnlineMaintainer:
         self.config = config or MaintenanceConfig()
         self.seed = seed
         self.workers = workers
-        self.backend = backend
         self.eps = float(transform.eps)
         dictionary = transform.dictionary
         self.updater = OnlineUpdater(
@@ -171,8 +170,7 @@ class OnlineMaintainer:
             x = take_columns(self.a, cols)
 
             c, enc_stats = batch_omp_matrix(
-                self.updater.atoms, x, self.eps,
-                workers=self.workers, backend=self.backend)
+                self.updater.atoms, x, self.eps, workers=self.workers)
             self.stats.record(c)
             dense_c = c.to_dense()
             resid = x - self.updater.atoms @ dense_c
@@ -299,7 +297,7 @@ class OnlineMaintainer:
             self.a, self.eps, cost_model, objective=objective,
             candidates=candidates, sketch=sketch,
             seed=derive_seed(self.seed, 43, self.steps),
-            workers=self.workers, backend=self.backend)
+            workers=self.workers)
         if self.monitor is not None and len(result.table) >= 2:
             self.monitor.rebase(fit_alpha_curve(result.table))
         self.consecutive_fired = 0

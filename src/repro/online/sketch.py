@@ -42,7 +42,6 @@ from repro.core.tuner import (
     find_min_feasible_size,
 )
 from repro.errors import TuningError, ValidationError
-from repro.linalg.kernels import use_backend
 from repro.utils.rng import as_generator, derive_seed
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -183,8 +182,8 @@ def tune_dictionary_size_sketched(a, eps: float, cost_model: CostModel, *,
                                   sketch: SketchConfig | None = None,
                                   subset_fraction: float = 0.25,
                                   trials: int = 1, seed=None,
-                                  workers: int | None = None,
-                                  backend=None) -> SketchedTuningResult:
+                                  workers: int | None = None) \
+        -> SketchedTuningResult:
     """Pick L* from a sketched sample instead of raw subset columns.
 
     Runs :func:`repro.core.tuner.tune_dictionary_size`'s candidate
@@ -212,7 +211,7 @@ def tune_dictionary_size_sketched(a, eps: float, cost_model: CostModel, *,
     k = sketch.resolved_dim(m)
     s = sketch.resolved_sparsity(m)
 
-    with obs.span("tuner.tune_sketched"), use_backend(backend):
+    with obs.span("tuner.tune_sketched"):
         # I/O accounting deltas (meaningful while observability is on —
         # the bench and the maintainer run under obs.observed()).
         bytes_before = obs.REGISTRY.counter("store.bytes_read")

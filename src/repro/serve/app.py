@@ -17,15 +17,18 @@ Endpoints
 ``POST /v1/pca``                 top-k eigenvalues via the transform
 ``GET  /v1/metrics``             unified RunReport + serving meta
 
-Backpressure and deadlines are the batcher's (429 + ``Retry-After``,
-504); every other failure maps through
-:class:`~repro.serve.protocol.ServeError`.
+Backpressure and deadlines are the batcher's (429 + ``Retry-After``
+in whole seconds, at least 1; 504); every other failure maps through
+:class:`~repro.serve.protocol.ServeError`.  A ``Content-Length`` that is
+not a decimal integer is answered 400, one above :data:`MAX_BODY_BYTES`
+413, and either closes the connection without reading the body.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 
 import numpy as np
@@ -117,7 +120,16 @@ class ServeApp:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ServeError as exc:
+                    # The body was left unread, so the stream cannot
+                    # carry another request: answer and close.
+                    obs.inc(f"serve.errors.{exc.status}")
+                    self._write_response(writer, exc.status,
+                                         {"error": exc.message}, {}, False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -158,9 +170,13 @@ class ServeApp:
                 continue
             key, _, value = line.partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            raise ServeError(400, f"bad Content-Length {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            return None
+            raise ServeError(413, f"body of {length} bytes exceeds the "
+                                  f"{MAX_BODY_BYTES}-byte limit")
         body = await reader.readexactly(length) if length else b""
         path = target.split("?", 1)[0]
         return method.upper(), path, headers, body
@@ -198,7 +214,10 @@ class ServeApp:
         except ServeError as exc:
             extra = {}
             if exc.retry_after is not None:
-                extra["Retry-After"] = f"{max(exc.retry_after, 0):.0f}"
+                # Whole seconds, rounded up: "0" would invite an
+                # immediate retry.
+                extra["Retry-After"] = str(max(math.ceil(exc.retry_after),
+                                               1))
             obs.inc(f"serve.errors.{exc.status}")
             return exc.status, {"error": exc.message}, extra
         except Exception as exc:  # noqa: BLE001 - keep the daemon alive
@@ -315,7 +334,6 @@ class ServeApp:
             "encoded_columns": self.batcher.encoded_columns,
             "max_batch": self.batcher.max_batch,
             "max_wait_ms": self.batcher.max_wait * 1e3,
-            "backend": self.batcher.backend,
         }
         report = obs.collect_report(command="serve", meta=meta)
         return report.to_dict()

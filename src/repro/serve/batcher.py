@@ -37,7 +37,6 @@ import numpy as np
 
 from repro import observability as obs
 from repro.core.cost_model import CostModel
-from repro.linalg.kernels import resolve_backend
 from repro.linalg.omp import ENCODE_BLOCK_COLS
 from repro.linalg.parallel_omp import encode_columns
 from repro.serve.protocol import EncodeRequest, EncodeResult, ServeError
@@ -88,7 +87,8 @@ class MicroBatcher:
         How long the collector holds an open batch for stragglers after
         the first request arrives.  ``0`` disables coalescing.
     max_queue:
-        Bound on queued requests; beyond it submissions fail with 429.
+        Bound on queued requests, at least 1; beyond it submissions
+        fail with 429.
     timeout_ms:
         Default per-request deadline (a request's own ``timeout_ms``
         overrides it).
@@ -96,27 +96,23 @@ class MicroBatcher:
         Optional :class:`~repro.core.cost_model.CostModel` for per-
         tenant Eq. 2/3 cost accounting (folded into the metrics
         registry and served at ``GET /v1/metrics``).
-    backend:
-        OMP kernel backend for batch encodes (see
-        :mod:`repro.linalg.kernels`).  Resolved eagerly so a
-        misconfigured server fails at construction, not on the first
-        request.  ``None`` keeps the process default.
     """
 
     def __init__(self, registry: DictionaryRegistry, *,
                  max_batch: int = 64, max_wait_ms: float = 2.0,
                  max_queue: int = 512, timeout_ms: float = 1000.0,
-                 cost_model: CostModel | None = None,
-                 backend: str | None = None) -> None:
+                 cost_model: CostModel | None = None) -> None:
         if max_batch < 1:
             raise ServeError(400, f"max_batch must be >= 1, got {max_batch}")
+        if max_queue < 1:
+            # asyncio.Queue(maxsize=0) is unbounded: nothing would be shed.
+            raise ServeError(400, f"max_queue must be >= 1, got {max_queue}")
         self.registry = registry
         self.max_batch = min(int(max_batch), _max_batch_limit())
         self.max_wait = max(float(max_wait_ms), 0.0) / 1e3
         self.max_queue = int(max_queue)
         self.timeout = max(float(timeout_ms), 1.0) / 1e3
         self.cost_model = cost_model
-        self.backend = resolve_backend(backend).name
         self._queue: asyncio.Queue[_Pending] | None = None
         self._task: asyncio.Task | None = None
         # one encode thread: keeps batches strictly ordered and lets
@@ -301,8 +297,7 @@ class MicroBatcher:
         through its factor chain at ``O(transform_nnz)`` per column.
         """
         return encode_columns(generation.transform.dictionary,
-                              columns, eps, max_atoms=max_atoms,
-                              backend=self.backend)
+                              columns, eps, max_atoms=max_atoms)
 
     def _account(self, group: list[_Pending], results, loop) -> None:
         """Per-tenant request metrics + Eq. 2/3 cost accounting.

@@ -50,7 +50,6 @@ from repro.core.fastdict import (
 )
 from repro.core.transform import TransformedData
 from repro.errors import CheckpointError, ValidationError
-from repro.linalg.kernels import resolve_backend
 from repro.linalg.omp import (
     ENCODE_BLOCK_COLS,
     batch_omp_matrix,
@@ -221,14 +220,6 @@ class StreamingEncoder:
         sampled ``dictionary.npz`` and one ``blocks/block-NNNNNN.npz``
         per finished block.  ``None`` keeps everything in memory (the
         encode is still budget-bounded, just not resumable).
-    backend:
-        OMP kernel backend (see :mod:`repro.linalg.kernels`); ``None``
-        resolves the process/environment default.  The *concrete*
-        resolved name is recorded in the checkpoint and verified on
-        resume — different backends agree only to the kernel tolerance
-        contract, so mixing their blocks would break the bit-identity
-        guarantee.  Checkpoints written before this field existed
-        resume as ``numpy``.
     fast_dict:
         Learn a sparse-factor fast transform
         (:class:`~repro.core.fastdict.FastDict`) of the sampled
@@ -249,7 +240,6 @@ class StreamingEncoder:
                  memory_budget_bytes: int | None = None,
                  block_width: int | None = None,
                  checkpoint_dir=None,
-                 backend=None,
                  fast_dict=None) -> None:
         self.store = check_matrix_or_store(store, "A")
         if not isinstance(store, ColumnStore):
@@ -276,7 +266,6 @@ class StreamingEncoder:
         self.normalize = bool(normalize)
         self.strict = bool(strict)
         self.workers = workers
-        self.backend = resolve_backend(backend).name
         self.dictionary = dictionary
         if fast_dict is not None and dictionary is not None \
                 and not isinstance(dictionary, Dictionary):
@@ -319,7 +308,6 @@ class StreamingEncoder:
             "max_atoms": self.max_atoms,
             "strict": self.strict,
             "block_width": self.block_width,
-            "backend": self.backend,
             "fast_dict": (None if self.fast_dict is None else {
                 "rc": float(self.fast_dict.rc),
                 "levels": int(self.fast_dict.levels),
@@ -409,10 +397,15 @@ class StreamingEncoder:
                 f"contents (fingerprint mismatch); the data changed "
                 f"since the run started")
         params = state.get("params", {})
-        # Checkpoints written before the pluggable-kernel refactor have
-        # no backend field; they were encoded by the numpy reference.
-        params.setdefault("backend", "numpy")
-        # Likewise, pre-FastDict checkpoints encoded the dense sample.
+        # Checkpoints written while the kernel was selectable record the
+        # one that encoded their blocks; only the numpy kernel's blocks
+        # match this version's bits.
+        if params.get("backend", "numpy") != "numpy":
+            raise CheckpointError(
+                f"checkpoint {path} was encoded by the "
+                f"{params['backend']!r} kernel, which this version does "
+                f"not have; remove the directory and rerun")
+        # Pre-FastDict checkpoints encoded the dense sample.
         params.setdefault("fast_dict", None)
         ck_width = params.get("block_width")
         if not self._width_pinned and isinstance(ck_width, int) \
@@ -581,8 +574,7 @@ class StreamingEncoder:
                 c_blk, st = batch_omp_matrix(
                     dictionary, work, self.eps,
                     max_atoms=self.max_atoms, strict=self.strict,
-                    gram=gram, workers=self.workers,
-                    backend=self.backend)
+                    gram=gram, workers=self.workers)
                 if self.normalize:
                     c_blk = _rescale_columns(c_blk, norms)
                 block = _Block(data=c_blk.data, indices=c_blk.indices,

@@ -1,19 +1,13 @@
-"""Conformance suite for the pluggable OMP kernel backends.
+"""Conformance suite for the Batch-OMP kernel.
 
-Every registered backend is held to the documented contract against the
-numpy reference (:mod:`repro.linalg.kernels.numpy_ref`):
-
-* **identical atom-selection sequences** on the golden cases,
-* coefficients within ``COEF_RTOL`` / ``COEF_ATOL``, and
-* **grouping invariance**: a column's bits do not depend on the other
-  columns of the call or on its width.
-
-Backends whose optional dependency is absent (numba in a bare
-environment) are skipped with the backend's own ``unavailable_reason``
-so the skip is self-explanatory in CI logs.  The suite also pins the
-selection precedence (explicit arg > process default > environment
-variable > ``numpy``) and the end-to-end invariant that serial,
-parallel, streaming and serving paths agree under any one backend.
+The kernel (:class:`~repro.linalg.kernels.numpy_ref.NumpyBackend`) is
+held to its per-column oracle
+(:func:`~repro.linalg.kernels.numpy_ref.batch_omp_column`) bit for bit,
+and to **grouping invariance**: a column's bits do not depend on the
+other columns of the call or on its width.  The suite also pins the
+end-to-end invariant that serial, parallel, streaming and serving paths
+agree, and the two things perfbench relies on: the kernel's name and a
+class-level wrapper on ``batch_omp_columns`` seeing every panel.
 """
 
 from __future__ import annotations
@@ -21,31 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import DictionaryError, KernelError
+from repro.errors import DictionaryError, ValidationError
 from repro.linalg import batch_omp_matrix
-from repro.linalg.kernels import (
-    COEF_ATOL,
-    COEF_RTOL,
-    OMP_BACKEND_ENV,
-    OMPKernelBackend,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    register_backend,
-    registered_backend_names,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
-from repro.linalg.kernels.numpy_ref import NumpyBackend, batch_omp_column
+from repro.linalg.kernels import resolve_backend
+from repro.linalg.kernels.numpy_ref import batch_omp_column
 from repro.linalg.omp import ENCODE_BLOCK_COLS
 
-
-def _backend_or_skip(name: str) -> OMPKernelBackend:
-    try:
-        return get_backend(name)
-    except KernelError as exc:
-        pytest.skip(f"backend {name!r} unavailable: {exc}")
+#: Every test of a class marked with this runs once, on the one kernel,
+#: and its id names the kernel.
+on_kernel = pytest.mark.parametrize("kernel", [resolve_backend()],
+                                    ids=lambda k: k.name)
 
 
 def _reference_panel(gram, dta, col_sq, eps, max_atoms):
@@ -58,8 +37,7 @@ def _golden_cases():
     """Deterministic (dictionary, signals, eps, max_atoms) cases.
 
     Well-conditioned by construction (random gaussian atoms, exact
-    sparse combinations) so the argmax sequence has no ties a compiled
-    backend could legitimately break differently.
+    sparse combinations), so the argmax sequence has no near-ties.
     """
     cases = []
     rng = np.random.default_rng(42)
@@ -89,45 +67,20 @@ def _panel_inputs(d, a):
     return gram, dta, col_sq
 
 
-@pytest.mark.parametrize("name", registered_backend_names())
+@on_kernel
 class TestBackendConformance:
-    """Contract: supports identical, coefficients within tolerance."""
+    """Contract: the kernel reproduces its per-column oracle exactly."""
 
-    def test_golden_cases_match_reference(self, name):
-        kernel = _backend_or_skip(name)
+    def test_numpy_backend_is_bit_exact(self, kernel):
         for d, a, eps, cap in _golden_cases():
             gram, dta, col_sq = _panel_inputs(d, a)
             got = kernel.batch_omp_columns(gram, dta, col_sq, eps, cap)
             want = _reference_panel(gram, dta, col_sq, eps, cap)
             assert len(got) == len(want) == a.shape[1]
-            for (gs, gc, gr, gi, gok), (ws, wc, wr, wi, wok) in \
-                    zip(got, want):
-                np.testing.assert_array_equal(
-                    np.asarray(gs), np.asarray(ws),
-                    err_msg=f"{name}: atom-selection sequence diverged")
-                np.testing.assert_allclose(
-                    np.asarray(gc), np.asarray(wc),
-                    rtol=COEF_RTOL, atol=COEF_ATOL,
-                    err_msg=f"{name}: coefficients out of tolerance")
-                assert gi == wi
-                assert bool(gok) == bool(wok)
-                assert gr == pytest.approx(wr, rel=1e-6, abs=1e-12)
+            for j, (g, w) in enumerate(zip(got, want)):
+                _same_result(g, w, f"eps={eps}, cap={cap}, column {j}")
 
-    def test_numpy_backend_is_bit_exact(self, name):
-        if name != "numpy":
-            pytest.skip("bit-exactness is the numpy backend's contract")
-        kernel = _backend_or_skip(name)
-        for d, a, eps, cap in _golden_cases():
-            gram, dta, col_sq = _panel_inputs(d, a)
-            got = kernel.batch_omp_columns(gram, dta, col_sq, eps, cap)
-            want = _reference_panel(gram, dta, col_sq, eps, cap)
-            for (gs, gc, gr, _, _), (ws, wc, wr, _, _) in zip(got, want):
-                np.testing.assert_array_equal(gs, ws)
-                np.testing.assert_array_equal(gc, wc)
-                assert gr == wr
-
-    def test_zero_columns(self, name):
-        kernel = _backend_or_skip(name)
+    def test_zero_columns(self, kernel):
         rng = np.random.default_rng(0)
         d = rng.standard_normal((10, 6))
         d /= np.linalg.norm(d, axis=0, keepdims=True)
@@ -139,11 +92,10 @@ class TestBackendConformance:
             assert np.asarray(coef).size == 0
             assert res_sq == 0.0 and it == 0 and ok
 
-    def test_dependent_atoms_are_banned(self, name):
+    def test_dependent_atoms_are_banned(self, kernel):
         # A dictionary with a duplicated atom: once one copy is
         # selected, the other has zero Cholesky pivot and must be
         # banned, not selected (which would blow up the solve).
-        kernel = _backend_or_skip(name)
         rng = np.random.default_rng(3)
         base = rng.standard_normal((12, 4))
         base /= np.linalg.norm(base, axis=0, keepdims=True)
@@ -151,18 +103,15 @@ class TestBackendConformance:
         a = base @ np.array([[1.0], [0.5], [0.25], [0.1]])
         gram, dta, col_sq = _panel_inputs(d, a)
         results = kernel.batch_omp_columns(gram, dta, col_sq, 0.0, None)
-        (support, coef, res_sq, it, ok), = results
+        (support, *_), = results
         support = np.asarray(support)
         # never both copies of a duplicated atom
         assert not ({0, 4} <= set(support.tolist()))
         assert not ({1, 5} <= set(support.tolist()))
         want = _reference_panel(gram, dta, col_sq, 0.0, None)[0]
-        np.testing.assert_array_equal(support, np.asarray(want[0]))
-        np.testing.assert_allclose(np.asarray(coef), np.asarray(want[1]),
-                                   rtol=COEF_RTOL, atol=COEF_ATOL)
+        _same_result(results[0], want, "duplicated atoms")
 
-    def test_max_atoms_cap(self, name):
-        kernel = _backend_or_skip(name)
+    def test_max_atoms_cap(self, kernel):
         d, a, _, _ = _golden_cases()[0]
         gram, dta, col_sq = _panel_inputs(d, a)
         for cap in (0, 1, 2):
@@ -171,110 +120,14 @@ class TestBackendConformance:
                 assert np.asarray(support).size <= cap
                 assert it <= cap
 
-    def test_strict_failure_on_smallest_column(self, name):
+    def test_strict_failure_on_smallest_column(self, kernel):
         # End-to-end: under strict mode the orchestration layer raises
-        # for the first failing column, whichever backend ran the panel.
-        _backend_or_skip(name)
+        # for the first failing column of the kernel's panel.
         d = np.array([[1.0], [0.0]])
         a = np.array([[1.0, 0.5], [1.0, 0.5]])
         with pytest.raises(DictionaryError) as exc:
-            batch_omp_matrix(d, a, eps=0.01, strict=True, backend=name)
+            batch_omp_matrix(d, a, eps=0.01, strict=True)
         assert "eps" in str(exc.value)
-
-
-class TestSelectionPrecedence:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(OMP_BACKEND_ENV, raising=False)
-        set_default_backend(None)
-        assert default_backend_name() == "numpy"
-        assert resolve_backend().name == "numpy"
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(OMP_BACKEND_ENV, "numpy")
-        set_default_backend(None)
-        assert resolve_backend().name == "numpy"
-        monkeypatch.setenv(OMP_BACKEND_ENV, "no-such-backend")
-        with pytest.raises(KernelError):
-            resolve_backend()
-
-    def test_process_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv(OMP_BACKEND_ENV, "no-such-backend")
-        try:
-            assert set_default_backend("numpy") == "numpy"
-            assert resolve_backend().name == "numpy"
-        finally:
-            set_default_backend(None)
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(OMP_BACKEND_ENV, "no-such-backend")
-        assert resolve_backend("numpy").name == "numpy"
-        assert resolve_backend(NumpyBackend()).name == "numpy"
-
-    def test_auto_degrades_to_numpy_without_warning(self, monkeypatch):
-        monkeypatch.delenv(OMP_BACKEND_ENV, raising=False)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_backend("auto")
-        assert isinstance(resolved, OMPKernelBackend)
-        if "numba" in available_backends():
-            assert resolved.name == "numba"
-        else:
-            assert resolved.name == "numpy"
-
-    def test_unknown_name_raises_kernel_error(self):
-        with pytest.raises(KernelError, match="unknown OMP kernel"):
-            get_backend("no-such-backend")
-        with pytest.raises(KernelError):
-            resolve_backend("no-such-backend")
-        with pytest.raises(KernelError):
-            set_default_backend("no-such-backend")
-
-    def test_unavailable_backend_reports_reason(self, monkeypatch):
-        import repro.linalg.kernels as kernels
-
-        class MissingDependency(OMPKernelBackend):
-            name = "missing-dependency"
-
-            @classmethod
-            def available(cls):
-                return False
-
-            @classmethod
-            def unavailable_reason(cls):
-                return "its module is not importable"
-
-        monkeypatch.setattr(kernels, "_REGISTRY", dict(kernels._REGISTRY))
-        register_backend(MissingDependency)
-        with pytest.raises(KernelError, match="registered but unavailable: "
-                                              "its module is not importable"):
-            get_backend("missing-dependency")
-
-    def test_bad_type_raises(self):
-        with pytest.raises(KernelError):
-            resolve_backend(42)
-
-    def test_use_backend_restores_previous(self, monkeypatch):
-        monkeypatch.delenv(OMP_BACKEND_ENV, raising=False)
-        set_default_backend(None)
-        with use_backend("numpy"):
-            assert default_backend_name() == "numpy"
-            with use_backend(None):      # no-op nesting
-                assert default_backend_name() == "numpy"
-        assert default_backend_name() == "numpy"  # env default
-        try:
-            set_default_backend("numpy")
-            with use_backend("numpy"):
-                pass
-            assert default_backend_name() == "numpy"
-        finally:
-            set_default_backend(None)
-
-    def test_register_rejects_reserved_names(self):
-        with pytest.raises(KernelError):
-            register_backend(type("Bad", (OMPKernelBackend,),
-                                  {"name": "auto"}))
 
 
 def _invariance_panel(n):
@@ -325,7 +178,7 @@ def _same_result(got, want, where):
     assert (gr, gi, bool(gok)) == (wr, wi, bool(wok)), where
 
 
-@pytest.mark.parametrize("name", registered_backend_names())
+@on_kernel
 class TestGroupingInvariance:
     """A column's result depends only on ``(G, its DᵀA column, ‖a‖²)``:
     not on its neighbours, the call's width or how many columns of the
@@ -361,8 +214,7 @@ class TestGroupingInvariance:
         }
 
     @pytest.mark.parametrize("cap", [None, 4])
-    def test_every_grouping_gives_the_same_bits(self, name, cap):
-        kernel = _backend_or_skip(name)
+    def test_every_grouping_gives_the_same_bits(self, kernel, cap):
         panel = _invariance_panel(self.N)
         want = self._run(kernel, panel, np.arange(self.N), cap)
         iters = np.array([want[j][3] for j in range(self.N)])
@@ -388,16 +240,14 @@ class TestGroupingInvariance:
             for group in groups:
                 got.update(self._run(kernel, panel, group, cap))
             for j in range(self.N):
-                _same_result(got[j], want[j], f"{name}, {label}, column {j}")
+                _same_result(got[j], want[j], f"{label}, column {j}")
 
-    def test_numpy_factor_split_gives_the_same_bits(self, name, monkeypatch):
+    def test_numpy_factor_split_gives_the_same_bits(self, kernel,
+                                                    monkeypatch):
         """A panel whose stacked Cholesky block outgrows its byte bound is
         finished in halves; the halves must reproduce the whole."""
-        if name != "numpy":
-            pytest.skip("the factor bound is the numpy kernel's")
         from repro.linalg.kernels import numpy_ref
 
-        kernel = _backend_or_skip(name)
         panel = _invariance_panel(self.N)
         want = self._run(kernel, panel, np.arange(self.N), None)
         monkeypatch.setattr(numpy_ref, "FACTOR_BLOCK_BYTES", 4096)
@@ -407,9 +257,9 @@ class TestGroupingInvariance:
 
 
 class TestLockstepOracle:
-    """The numpy lockstep loop reproduces the per-column loop bit for bit
-    when called directly — the backend routes narrow calls (most golden
-    cases) to the per-column loop itself."""
+    """The lockstep loop reproduces the per-column loop bit for bit when
+    called directly — the kernel routes narrow calls (most golden cases)
+    to the per-column loop itself."""
 
     @pytest.mark.parametrize("eps", [0.0, 0.01, 0.1, 0.5])
     def test_matches_per_column_loop(self, eps):
@@ -431,26 +281,25 @@ class TestLockstepOracle:
                 _same_result(g, w, f"eps={eps}, cap={cap}, column {j}")
 
 
-@pytest.mark.parametrize("name", registered_backend_names())
+@on_kernel
 class TestEndToEndConsistency:
-    """Serial, parallel, streaming and serve paths agree per backend."""
+    """Serial, parallel and streaming encodes agree bit for bit."""
 
-    def test_serial_vs_parallel_identical(self, name, union_data):
-        _backend_or_skip(name)
+    def test_serial_vs_parallel_identical(self, kernel, union_data):
         a, _ = union_data
         a = np.tile(a, 4)  # 640 columns: three panels, so workers fork
         rng = np.random.default_rng(9)
         d = rng.standard_normal((a.shape[0], 10))
         d /= np.linalg.norm(d, axis=0, keepdims=True)
-        c1, s1 = batch_omp_matrix(d, a, eps=0.4, backend=name)
-        c2, s2 = batch_omp_matrix(d, a, eps=0.4, workers=2, backend=name)
+        c1, s1 = batch_omp_matrix(d, a, eps=0.4)
+        c2, s2 = batch_omp_matrix(d, a, eps=0.4, workers=2)
         np.testing.assert_array_equal(c1.indptr, c2.indptr)
         np.testing.assert_array_equal(c1.indices, c2.indices)
         np.testing.assert_array_equal(c1.data, c2.data)
         assert s1.total_iterations == s2.total_iterations
 
-    def test_streaming_matches_in_memory(self, name, union_data, tmp_path):
-        _backend_or_skip(name)
+    def test_streaming_matches_in_memory(self, kernel, union_data,
+                                         tmp_path):
         from repro.store import ColumnStore, StreamingEncoder
 
         a, _ = union_data
@@ -458,39 +307,31 @@ class TestEndToEndConsistency:
                                         chunk_width=37)
         t_mem, _ = __import__("repro.core", fromlist=["exd_transform"]) \
             .exd_transform(a, 10, 0.4, seed=3)
-        enc = StreamingEncoder(store, 10, 0.4, seed=3, backend=name)
-        t_str, _, _ = enc.run()
-        assert enc.backend == name
+        t_str, _, _ = StreamingEncoder(store, 10, 0.4, seed=3).run()
         np.testing.assert_array_equal(t_mem.dictionary.atoms,
                                       t_str.dictionary.atoms)
         np.testing.assert_array_equal(t_mem.coefficients.indices,
                                       t_str.coefficients.indices)
-        if name == "numpy":   # in-memory ref ran the process default
-            np.testing.assert_array_equal(t_mem.coefficients.data,
-                                          t_str.coefficients.data)
-        else:
-            np.testing.assert_allclose(t_mem.coefficients.data,
-                                       t_str.coefficients.data,
-                                       rtol=COEF_RTOL, atol=COEF_ATOL)
+        np.testing.assert_array_equal(t_mem.coefficients.data,
+                                      t_str.coefficients.data)
 
-    def test_coefficients_meet_eps(self, name, union_data):
-        kernel = _backend_or_skip(name)
+    def test_coefficients_meet_eps(self, kernel, union_data):
         a, _ = union_data
         rng = np.random.default_rng(9)
         d = rng.standard_normal((a.shape[0], 12))
         d /= np.linalg.norm(d, axis=0, keepdims=True)
-        c, stats = batch_omp_matrix(d, a, eps=0.5, backend=kernel)
+        c, stats = batch_omp_matrix(d, a, eps=0.5)
         if stats.converged_columns == stats.columns:
             err = np.linalg.norm(a - d @ c.toarray(), axis=0)
             norms = np.linalg.norm(a, axis=0)
             assert np.all(err <= 0.5 * norms + 1e-9)
 
 
-@pytest.mark.parametrize("name", registered_backend_names())
+@on_kernel
 class TestDictOperatorConformance:
-    """Backends see identical (G, DᵀA) whether D arrives as a dense
-    array or as a DictOperator whose factor chain is exact — so their
-    outputs must be identical too, per backend.
+    """The kernel sees identical (G, DᵀA) whether D arrives as a dense
+    array or as a DictOperator whose factor chain is exact — so its
+    outputs must be identical too.
     """
 
     @staticmethod
@@ -505,26 +346,76 @@ class TestDictOperatorConformance:
                            np.arange(m, dtype=np.int64))
         return fd, dense
 
-    def test_operator_precompute_matches_dense(self, name):
-        _backend_or_skip(name)
+    def test_operator_precompute_matches_dense(self, kernel):
         fd, dense = self._exact_operator(24, seed=5)
         rng = np.random.default_rng(6)
         a = fd.atoms @ rng.standard_normal((24, 90))
         a += 0.05 * rng.standard_normal(a.shape)
-        c1, s1 = batch_omp_matrix(dense.atoms, a, 0.3, backend=name)
-        c2, s2 = batch_omp_matrix(fd, a, 0.3, backend=name)
+        c1, s1 = batch_omp_matrix(dense.atoms, a, 0.3)
+        c2, s2 = batch_omp_matrix(fd, a, 0.3)
         np.testing.assert_array_equal(c1.indptr, c2.indptr)
         np.testing.assert_array_equal(c1.indices, c2.indices)
         np.testing.assert_array_equal(c1.data, c2.data)
         assert s1.total_iterations == s2.total_iterations
 
-    def test_operator_serial_vs_parallel(self, name):
-        _backend_or_skip(name)
+    def test_operator_serial_vs_parallel(self, kernel):
         fd, _ = self._exact_operator(24, seed=7)
         rng = np.random.default_rng(8)
         # Three panels: the workers run the operator's apply_t themselves.
         a = rng.standard_normal((24, 2 * ENCODE_BLOCK_COLS + 1))
-        c1, _ = batch_omp_matrix(fd, a, 0.4, backend=name)
-        c2, _ = batch_omp_matrix(fd, a, 0.4, workers=2, backend=name)
+        c1, _ = batch_omp_matrix(fd, a, 0.4)
+        c2, _ = batch_omp_matrix(fd, a, 0.4, workers=2)
         np.testing.assert_array_equal(c1.indices, c2.indices)
         np.testing.assert_array_equal(c1.data, c2.data)
+
+
+class TestBenchmarkContract:
+    """perfbench records ``resolve_backend(None).name`` in every run's
+    fingerprint and traces the kernel by wrapping ``batch_omp_columns``
+    on the kernel's class, so every encode must reach the kernel through
+    that class attribute."""
+
+    def test_fingerprint_names_the_one_kernel(self):
+        assert resolve_backend(None).name == "numpy"
+        assert resolve_backend(None) is resolve_backend()
+
+    @pytest.mark.parametrize("backend", ["numpy", "auto"])
+    def test_any_named_kernel_is_refused(self, backend):
+        with pytest.raises(ValidationError):
+            resolve_backend(backend)
+
+    def test_class_wrapper_sees_every_panel(self, monkeypatch, tmp_path):
+        from repro.linalg.parallel_omp import encode_columns
+        from repro.store import ColumnStore, StreamingEncoder
+
+        cls = type(resolve_backend(None))
+        original = cls.batch_omp_columns
+        seen = {"panels": 0, "columns": 0, "iterations": 0}
+
+        def traced(self, gram, dta_panel, col_sq, eps, max_atoms):
+            out = original(self, gram, dta_panel, col_sq, eps, max_atoms)
+            seen["panels"] += 1
+            seen["columns"] += dta_panel.shape[1]
+            seen["iterations"] += sum(int(r[3]) for r in out)
+            return out
+
+        def check(n, iterations):
+            assert seen == {"panels": -(-n // ENCODE_BLOCK_COLS),
+                            "columns": n, "iterations": iterations}
+            seen.update(panels=0, columns=0, iterations=0)
+
+        monkeypatch.setattr(cls, "batch_omp_columns", traced)
+        rng = np.random.default_rng(4)
+        d = rng.standard_normal((16, 24))
+        d /= np.linalg.norm(d, axis=0, keepdims=True)
+        a = rng.standard_normal((16, 2 * ENCODE_BLOCK_COLS + 40))
+
+        _, stats = batch_omp_matrix(d, a, 0.2)
+        check(a.shape[1], stats.total_iterations)
+        _, stats = encode_columns(d, a[:, :3], 0.2)
+        check(3, stats.total_iterations)
+        store = ColumnStore.from_matrix(tmp_path / "store", a,
+                                        chunk_width=64)
+        _, stats, _ = StreamingEncoder(store, 24, 0.2, seed=1).run()
+        check(a.shape[1], stats.omp_iterations)
+        assert stats.omp_iterations > 0

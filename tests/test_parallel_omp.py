@@ -250,45 +250,6 @@ class TestGramCache:
         assert GRAM_CACHE.hits >= 1
 
 
-def _backend_probe(shared, payload):
-    """Report the kernel a task would resolve, then poison the env.
-
-    With backend pinning every task (in the caller's share and in every
-    worker) still resolves the backend the parent chose at ``fork_map``
-    entry; without it the second task re-resolves the poisoned env and
-    raises.
-    """
-    import os
-
-    from repro.linalg.kernels import resolve_backend
-
-    name = resolve_backend(None).name
-    os.environ["REPRO_OMP_BACKEND"] = "no-such-kernel"
-    return name
-
-
-class TestForkMapBackendPinning:
-    def test_fallback_path_ignores_env_mutation(self, monkeypatch):
-        import os
-        monkeypatch.delenv("REPRO_OMP_BACKEND", raising=False)
-        try:
-            names = fork_map(_backend_probe, range(4), None, workers=1)
-        finally:
-            os.environ.pop("REPRO_OMP_BACKEND", None)
-        assert names == ["numpy"] * 4
-
-    def test_fork_pool_path_ignores_env_mutation(self, monkeypatch):
-        import os
-        if not _can_fork():
-            pytest.skip("fork pool unavailable in this process")
-        monkeypatch.delenv("REPRO_OMP_BACKEND", raising=False)
-        try:
-            names = fork_map(_backend_probe, range(6), None, workers=2)
-        finally:
-            os.environ.pop("REPRO_OMP_BACKEND", None)
-        assert names == ["numpy"] * 6
-
-
 def _tag(shared, payload):
     return payload, os.getpid()
 

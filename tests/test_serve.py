@@ -13,6 +13,7 @@ generation registry, atomic hot-swap mid-traffic, 429 backpressure and
 import asyncio
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -413,13 +414,17 @@ class TestBatcherRegressions:
         batcher = MicroBatcher(reg, max_batch=100000)
         assert batcher.max_batch == 64
 
-    def test_bad_backend_fails_at_construction(self, transform):
-        from repro.errors import KernelError
+    @pytest.mark.parametrize("max_queue", [0, -1])
+    def test_queue_bound_below_one_fails_at_construction(self, transform,
+                                                         max_queue):
+        # asyncio.Queue(maxsize=0) is unbounded, so such a batcher would
+        # never answer 429; it must be refused as max_batch < 1 is.
         reg = DictionaryRegistry()
         reg.add_transform("t", transform)
-        with pytest.raises(KernelError):
-            MicroBatcher(reg, backend="no-such-backend")
-        assert MicroBatcher(reg, backend="numpy").backend == "numpy"
+        with pytest.raises(ServeError) as exc:
+            MicroBatcher(reg, max_queue=max_queue)
+        assert exc.value.status == 400
+        assert "max_queue" in exc.value.message
 
 
 # ----------------------------------------------------------------------
@@ -491,6 +496,23 @@ class TestHTTP:
     def test_unknown_route_and_method(self, server):
         assert server.request("GET", "/nope")[0] == 404
         assert server.request("POST", "/healthz")[0] == 405
+
+    @pytest.mark.parametrize("declared, status", [
+        ("abc", 400), ("-5", 400), ("999999999", 413)])
+    def test_bad_content_length_is_answered(self, server, declared, status):
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            sock.sendall(f"POST /v1/encode HTTP/1.1\r\nHost: t\r\n"
+                         f"Content-Length: {declared}\r\n\r\n"
+                         .encode("latin-1"))
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].split(" ")[1] == str(status), reply
+        assert "Connection: close" in lines
+        assert "error" in json.loads(body)
 
     def test_bad_json_is_400(self, server):
         conn = http.client.HTTPConnection(server.host, server.port,
@@ -720,8 +742,10 @@ class TestHTTP:
         assert status == 404
 
     def test_backpressure_sets_retry_after(self, transform, data):
+        # A 200 ms deadline must still ask for a whole second: "0" would
+        # tell a shed client to retry at once.
         app = ServeApp(max_batch=1, max_wait_ms=0.0, max_queue=1,
-                       observe=False)
+                       timeout_ms=200.0, observe=False)
         app.registry.add_transform("default", transform)
         gate = threading.Event()
         real_encode = app.batcher._encode
@@ -747,4 +771,4 @@ class TestHTTP:
                             if f.result()[0] == 429]
             assert any(s == 429 for s in statuses), statuses
             for _status, _body, headers in rejected:
-                assert "Retry-After" in headers
+                assert headers["Retry-After"] == "1"

@@ -449,6 +449,46 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="block_width"):
             self._encoder(store, ck, block_width=256).run(resume=True)
 
+    @staticmethod
+    def _record_kernel(ck, name):
+        """Write ``name`` into the manifest's ``backend`` param, as v3
+        manifests did while the OMP kernel was selectable."""
+        from repro.store.streaming import CHECKPOINT_NAME
+
+        manifest = ck / CHECKPOINT_NAME
+        doc = json.loads(manifest.read_text())
+        doc["params"]["backend"] = name
+        manifest.write_text(json.dumps(doc))
+
+    def test_new_manifest_records_no_kernel(self, store, tmp_path):
+        from repro.store.streaming import CHECKPOINT_NAME
+
+        ck = tmp_path / "ck"
+        self._encoder(store, ck).run()
+        doc = json.loads((ck / CHECKPOINT_NAME).read_text())
+        assert doc["format_version"] == 3
+        assert "backend" not in doc["params"]
+
+    def test_numpy_kernel_manifest_resumes(self, store, tmp_path):
+        ck = tmp_path / "ck"
+        t1, _, r1 = self._encoder(store, ck).run()
+        self._record_kernel(ck, "numpy")
+        t2, _, r2 = self._encoder(store, ck).run(resume=True)
+        assert r2.blocks_reused == r1.blocks_total
+        assert r2.blocks_encoded == 0
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(t1.coefficients, part),
+                                          getattr(t2.coefficients, part))
+
+    def test_other_kernel_manifest_refused(self, store, tmp_path):
+        """Blocks encoded by a kernel this version lacks may differ in
+        their bits, so they are not mixed into a resumed run."""
+        ck = tmp_path / "ck"
+        self._encoder(store, ck).run()
+        self._record_kernel(ck, "compiled")
+        with pytest.raises(CheckpointError, match="'compiled' kernel"):
+            self._encoder(store, ck).run(resume=True)
+
 
 class TestMemoryBudget:
     def test_plan_block_width_aligned(self):
