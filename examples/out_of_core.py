@@ -31,9 +31,9 @@ def main() -> None:
               f"attrs={store.attrs['dataset']!r}")
 
         # 2. Plan a block width from a byte budget (Eq. 4 shapes).
-        budget = 4 << 20
+        budget = 2 << 20
         width = plan_block_width(m, 48, budget, n=n)
-        print(f"4 MiB budget -> blocks of {width} columns")
+        print(f"2 MiB budget -> blocks of {width} columns")
 
         # 3. Stream the transform with checkpoints.
         enc = StreamingEncoder(store, 48, 0.1, seed=1,

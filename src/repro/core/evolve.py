@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.dictionary import Dictionary
-from repro.core.exd import exd_transform, normalize_columns, _rescale_columns
+from repro.core.exd import exd_transform
 from repro.core.transform import TransformedData
 from repro.errors import ValidationError
 from repro.linalg.omp import (
@@ -67,21 +67,14 @@ def _stream_new_column_codes(transform: TransformedData, store,
     returned codes and ε verdicts are bit-identical to feeding the
     dense ``store.as_array()`` through :func:`batch_omp_matrix`.
     """
-    eps = transform.eps
-    normalize = bool(transform.meta.get("normalized", True))
     width = 4 * ENCODE_BLOCK_COLS if block_width is None \
         else check_block_width(block_width)
     gram = transform.dictionary.gram()
     parts, masks = [], []
     for _lo, _hi, raw in store.iter_blocks(width):
-        if normalize:
-            work, norms = normalize_columns(raw)
-        else:
-            work, norms = raw, None
-        c_blk, st = batch_omp_matrix(transform.dictionary, work,
-                                     eps, gram=gram, workers=workers)
-        if normalize:
-            c_blk = _rescale_columns(c_blk, norms)
+        c_blk, st = batch_omp_matrix(transform.dictionary, raw,
+                                     transform.eps, gram=gram,
+                                     workers=workers)
         parts.append(c_blk)
         masks.append(st.converged_mask)
     return CSCMatrix.hstack_all(parts), np.concatenate(masks)
@@ -128,7 +121,6 @@ def extend_transform(transform: TransformedData, a_new, *, seed=None,
             f"A_new has {a_new.shape[0]} rows, transform expects "
             f"{transform.m}")
     eps = transform.eps
-    normalize = bool(transform.meta.get("normalized", True))
 
     # Phase 1: code the new columns against the existing dictionary.
     # The per-column ε verdicts come straight from Batch-OMP — a dense
@@ -138,15 +130,9 @@ def extend_transform(transform: TransformedData, a_new, *, seed=None,
         codes, col_ok = _stream_new_column_codes(
             transform, a_new, workers=workers, block_width=block_width)
     else:
-        if normalize:
-            work, norms = normalize_columns(a_new)
-        else:
-            work, norms = a_new, None
-        codes, stats = batch_omp_matrix(transform.dictionary, work,
+        codes, stats = batch_omp_matrix(transform.dictionary, a_new,
                                         eps, workers=workers)
         col_ok = stats.converged_mask
-        if normalize:
-            codes = _rescale_columns(codes, norms)
     ok_idx = np.nonzero(col_ok)[0]
     fail_idx = np.nonzero(~col_ok)[0]
 
@@ -166,6 +152,7 @@ def extend_transform(transform: TransformedData, a_new, *, seed=None,
     remainder = take_columns(a_new, fail_idx)
     l_new = new_dictionary_size or min(transform.l, remainder.shape[1])
     l_new = min(l_new, remainder.shape[1])
+    normalize = bool(transform.meta.get("normalized", True))
     sub_transform, _ = exd_transform(remainder, l_new, eps, seed=seed,
                                      normalize=normalize, workers=workers)
     new_atoms = Dictionary(sub_transform.dictionary.atoms,

@@ -1,12 +1,17 @@
 """Algorithm 1 — the ExD projection.
 
-Given a (column-)normalised data matrix ``A``, a tolerance ``ε`` and a
-dictionary size ``L``:
+Given a data matrix ``A``, a tolerance ``ε`` and a dictionary size ``L``:
 
 0. rank 0 draws a random index set ``I`` of size ``L`` and broadcasts it;
-1. every rank loads ``D = A[:, I]``;
+1. every rank loads ``D = A[:, I]`` and scales its atoms to unit norm;
 2. every rank loads its column block ``A_i``;
 3. every rank sparse-codes its block with (Batch-)OMP.
+
+Only the atoms are normalised.  The greedy step compares ``|dⱼᵀr|``, so
+it needs unit atoms, but Eq. 1's stopping rule ``‖a − Dc‖₂ ≤ ε‖a‖₂`` is
+scale-invariant, so each data column is coded at its own scale and its
+code is ``C[:, j]`` directly — the same bits a served encode of that
+column returns.
 
 :func:`exd_transform` is the serial entry point (also used per-rank);
 :func:`exd_transform_distributed` executes the SPMD version on the MPI
@@ -29,8 +34,8 @@ from repro.linalg.omp import (
     blocked_column_norms,
     check_block_width,
     check_encode_args,
+    encode_block_bounds,
 )
-from repro.sparse.csc import CSCMatrix
 from repro.utils.rng import as_generator, derive_seed
 from repro.utils.validation import check_fraction, check_matrix, check_positive_int
 
@@ -57,9 +62,9 @@ def normalize_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the encode engine's blocked reduction
     (:func:`repro.linalg.omp.blocked_column_norms`), which sums each
     column on its own, so a column gets the same bits whichever columns
-    it is normalised with: a whole matrix, an aligned block (the
-    out-of-core streaming encoder), a block starting mid-panel or a
-    gathered subset (the ranks of Algorithm 1).
+    it is normalised with: the ``L`` sampled atoms, normalised alone by
+    the in-memory fit, the store sampler and the ranks of Algorithm 1,
+    get the bits they would get inside the whole matrix.
     """
     norms = blocked_column_norms(np.asarray(a, dtype=np.float64))
     safe = np.where(norms > 0, norms, 1.0)
@@ -89,9 +94,9 @@ def exd_transform(a, size: int, eps: float, *, seed=None,
     eps:
         Relative transformation error tolerance of Eq. 1.
     normalize:
-        Column-normalise ``A`` before coding (Algorithm 1's input is the
-        normalised matrix); coefficients are rescaled afterwards so the
-        returned transform approximates the *original* ``A``.
+        Scale the sampled atoms to unit ℓ2 norm (zero atoms stay zero).
+        The data columns are coded as they are either way, so the
+        transform approximates ``A`` itself.
     dictionary:
         Reuse a pre-sampled dictionary instead of sampling one (used by
         the SPMD driver, where rank 0's sample is shared).  May be any
@@ -145,13 +150,11 @@ def exd_transform(a, size: int, eps: float, *, seed=None,
     with obs.span("exd.transform"):
         if dictionary is None:
             size = check_positive_int(size, "size")
-            rng = as_generator(seed)
-        if normalize:
-            a_work, norms = normalize_columns(a)
-        else:
-            a_work, norms = a, None
-        if dictionary is None:
-            dictionary = sample_dictionary(a_work, size, seed=rng)
+            dictionary = sample_dictionary(a, size, seed=seed)
+            if normalize:
+                dictionary = Dictionary(
+                    normalize_columns(dictionary.atoms)[0],
+                    dictionary.indices)
         elif dictionary.m != a.shape[0]:
             raise ValidationError(
                 f"dictionary rows {dictionary.m} != data rows {a.shape[0]}")
@@ -162,11 +165,9 @@ def exd_transform(a, size: int, eps: float, *, seed=None,
                                        levels=cfg.levels, iters=cfg.iters,
                                        seed=derive_seed(seed, 11))
 
-        c, omp_stats = batch_omp_matrix(dictionary, a_work, eps,
+        c, omp_stats = batch_omp_matrix(dictionary, a, eps,
                                         max_atoms=max_atoms, strict=strict,
                                         workers=workers)
-        if normalize:
-            c = _rescale_columns(c, norms)
     stats = ExDStats(columns=omp_stats.columns,
                      converged_columns=omp_stats.converged_columns,
                      omp_iterations=omp_stats.total_iterations,
@@ -181,13 +182,6 @@ def exd_transform(a, size: int, eps: float, *, seed=None,
     obs.inc("exd.transforms")
     obs.observe("exd.alpha", transform.alpha)
     return transform, stats
-
-
-def _rescale_columns(c: CSCMatrix, norms: np.ndarray) -> CSCMatrix:
-    """Multiply column ``j`` of ``c`` by ``norms[j]`` (undo normalisation)."""
-    scale = norms[c.col_indices_expanded()]
-    return CSCMatrix(c.data * scale, c.indices, c.indptr, c.shape,
-                     check=False)
 
 
 def _exd_rank_program(comm, a, size, eps, seed, normalize, max_atoms):
@@ -207,24 +201,17 @@ def _exd_rank_program(comm, a, size, eps, seed, normalize, max_atoms):
     else:
         idx = None
     idx = comm.bcast(idx, root=0)
-    # Step 1-2: every rank loads D and its column block.  Column norms
-    # do not depend on how columns are grouped, so normalising just
-    # these columns gives the whole-matrix normalisation's bits without
-    # a normalised copy of all N columns on every rank.
+    # Step 1-2: every rank loads D and its column block.
     lo = rank * n // p
     hi = (rank + 1) * n // p
-    atoms, block = a[:, idx], a[:, lo:hi]
-    norms = None
+    atoms = a[:, idx]
     if normalize:
         atoms, _ = normalize_columns(atoms)
-        block, norms = normalize_columns(block)
     dictionary = Dictionary(np.ascontiguousarray(atoms), idx)
     # Step 3: local Batch-OMP; FLOPs billed to this rank's clock.
-    c_local, stats = batch_omp_matrix(dictionary, block, eps,
+    c_local, stats = batch_omp_matrix(dictionary, a[:, lo:hi], eps,
                                       max_atoms=max_atoms)
     comm.charge_flops(stats.flops)
-    if normalize:
-        c_local = _rescale_columns(c_local, norms)
     # Assemble the full C on rank 0 (evaluation convenience; the
     # execution phase keeps C distributed).
     blocks = comm.gather((c_local, stats), root=0)
@@ -253,13 +240,18 @@ def _exd_store_rank_program(comm, store, size, eps, seed, normalize,
     blocks are then partitioned by the store's deterministic
     ``shard_plan``, so each rank streams (roughly) only its chunk
     partition from disk.
-    Block boundaries, normalisation and the per-block Batch-OMP calls
-    mirror :class:`~repro.store.StreamingEncoder` exactly, which makes
-    the assembled transform bit-identical to the serial streaming
-    encode — on either MPI backend.
+    Each block is read and encoded by the function the streaming
+    encoder uses (:func:`~repro.store.streaming.encode_store_block`),
+    at the same block boundaries, and rank 0 assembles the blocks as it
+    does (:func:`~repro.store.streaming.assemble_blocks`), which makes
+    the transform bit-identical to the serial streaming encode — on
+    either MPI backend.
     """
     from repro.store.streaming import (
         DEFAULT_STREAM_BLOCK,
+        _Block,
+        assemble_blocks,
+        encode_store_block,
         sample_store_dictionary,
     )
 
@@ -276,7 +268,7 @@ def _exd_store_rank_program(comm, store, size, eps, seed, normalize,
     gram = dictionary.gram()
 
     width = block_width if block_width is not None else DEFAULT_STREAM_BLOCK
-    bounds = [(lo, min(lo + width, n)) for lo in range(0, n, width)]
+    bounds = encode_block_bounds(n, width)
     plan = store.shard_plan(p)
     # A block belongs to the rank whose shard contains its first column
     # (shards are contiguous and cover [0, N), so this is total and
@@ -287,19 +279,12 @@ def _exd_store_rank_program(comm, store, size, eps, seed, normalize,
     local = []
     flops = 0
     for index in mine:
-        lo, hi = bounds[index]
-        raw = store.read_range(lo, hi)
-        if normalize:
-            work, norms = normalize_columns(raw)
-        else:
-            work, norms = raw, None
-        c_blk, st = batch_omp_matrix(dictionary, work, eps,
-                                     max_atoms=max_atoms, gram=gram)
-        if normalize:
-            c_blk = _rescale_columns(c_blk, norms)
-        flops += st.flops
-        local.append((index, c_blk.data, c_blk.indices, c_blk.indptr,
-                      st.total_iterations, st.converged_columns))
+        block, block_flops = encode_store_block(
+            store, dictionary, gram, eps, *bounds[index],
+            max_atoms=max_atoms)
+        flops += block_flops
+        local.append((index, block.data, block.indices, block.indptr,
+                      block.iterations, block.converged))
     comm.charge_flops(flops)
 
     gathered = comm.gather((local, flops), root=0)
@@ -307,16 +292,8 @@ def _exd_store_rank_program(comm, store, size, eps, seed, normalize,
         return None
     pieces = sorted((blk for part, _f in gathered for blk in part),
                     key=lambda b: b[0])
-    l = dictionary.size
-    full = CSCMatrix.hstack_all(
-        CSCMatrix(data, indices, indptr, (l, indptr.size - 1), check=False)
-        for _i, data, indices, indptr, _it, _cv in pieces)
-    agg = ExDStats(
-        columns=n,
-        converged_columns=sum(b[5] for b in pieces),
-        omp_iterations=sum(b[4] for b in pieces),
-        flops=sum(f for _part, f in gathered),
-    )
+    full, agg = assemble_blocks(dictionary,
+                                [_Block(*b[1:]) for b in pieces], n)
     return TransformedData(dictionary=dictionary, coefficients=full,
                            eps=eps, method="exd",
                            meta={"normalized": normalize}), agg

@@ -184,9 +184,10 @@ def omp_solve(d, a, eps: float, *, max_atoms: int | None = None,
     Parameters
     ----------
     d:
-        Dictionary, shape ``(M, L)``; atoms need not be normalised
-        (selection uses plain correlations ``|d_jᵀ r|`` as in Alg. 1,
-        which assumes the input data matrix was column-normalised).
+        Dictionary, shape ``(M, L)``.  Selection uses plain
+        correlations ``|d_jᵀ r|`` as in Alg. 1, which weight each atom
+        by its norm, so the ExD encodes pass unit atoms; the signal
+        needs no scaling, since the stopping rule is relative.
     a:
         Signal to code, shape ``(M,)``.
     eps:

@@ -151,9 +151,9 @@ class OnlineUpdater:
             u = d[:, j] + (self.b_t[:, j] - d @ a_j) / diag[j]
             norm = float(np.linalg.norm(u))
             # Mairal's projection onto the unit ball keeps the
-            # surrogate's majorisation valid; data-sampled atoms are
-            # not unit-norm, so project onto the *original* norm scale
-            # instead: keep the refreshed atom at the incumbent's norm.
+            # surrogate's majorisation valid; project onto the atom's
+            # current norm instead, which is 1 for a fitted atom and the
+            # source column's norm for one evict_dead re-seeded.
             target = max(float(np.linalg.norm(d[:, j])),
                          self.config.norm_floor)
             if norm > self.config.norm_floor:

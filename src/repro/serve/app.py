@@ -19,9 +19,11 @@ Endpoints
 
 Backpressure and deadlines are the batcher's (429 + ``Retry-After``
 in whole seconds, at least 1; 504); every other failure maps through
-:class:`~repro.serve.protocol.ServeError`.  A ``Content-Length`` that is
-not a decimal integer is answered 400, one above :data:`MAX_BODY_BYTES`
-413, and either closes the connection without reading the body.
+:class:`~repro.serve.protocol.ServeError`.  A request line that is not
+``METHOD TARGET VERSION`` or a ``Content-Length`` that is not a decimal
+integer is answered 400, a body above :data:`MAX_BODY_BYTES` 413 and a
+header block above :data:`MAX_HEADER_BYTES` 431; each of these answers
+closes the connection without reading further.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ MAX_HEADER_BYTES = 64 * 2**10
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
+    429: "Too Many Requests", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error",
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
 
@@ -93,7 +96,7 @@ class ServeApp:
             obs.enable()
         await self.batcher.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port)
+            self._handle_connection, host, port, limit=MAX_HEADER_BYTES)
         sock = self._server.sockets[0].getsockname()
         self.started_at = time.time()
         return sock[0], sock[1]
@@ -140,8 +143,7 @@ class ServeApp:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()
@@ -156,13 +158,13 @@ class ServeApp:
         except asyncio.IncompleteReadError:
             return None
         except asyncio.LimitOverrunError:
-            raise
-        if len(head) > MAX_HEADER_BYTES:
-            return None
+            # The stream's limit is MAX_HEADER_BYTES (see start()).
+            raise ServeError(431, f"header block exceeds the "
+                                  f"{MAX_HEADER_BYTES}-byte limit") from None
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
-            return None
+            raise ServeError(400, f"malformed request line {lines[0]!r}")
         method, target, _version = parts
         headers = {}
         for line in lines[1:]:

@@ -1,8 +1,8 @@
 """Streaming ExD encode over a :class:`~repro.store.ColumnStore`.
 
-The in-memory :func:`repro.core.exd.exd_transform` holds ``A`` (M·N),
-``DᵀA`` (L·N) and the growing coefficient arrays at once.  The streaming
-encoder instead walks ``A`` in fixed-width column blocks read straight
+The in-memory :func:`repro.core.exd.exd_transform` holds ``A`` (M·N)
+and the growing coefficient arrays at once.  The streaming encoder
+instead walks ``A`` in fixed-width column blocks read straight
 from the store, so peak resident memory is the Eq. 4 footprint — the
 dictionary ``D`` (M·L), its Gram matrix ``G = DᵀD`` (L²), and one
 block's working set — rather than anything proportional to ``N``.
@@ -13,11 +13,17 @@ Bit-identity with the in-memory path is by construction, not luck:
   and start at column 0, so the blocked ``DᵀA`` / column-norm panels of
   every block coincide exactly with the panels the in-memory encode uses
   for the full matrix;
-* normalisation, coefficient rescaling and CSC assembly are elementwise
-  or gather/concatenate operations, which do not depend on how columns
-  were grouped;
+* data columns are coded as they are read, with no per-block
+  preprocessing, and CSC assembly is a concatenation, which does not
+  depend on how columns were grouped;
 * dictionary sampling replays the exact RNG call sequence of
-  :func:`repro.core.dictionary.sample_dictionary`.
+  :func:`repro.core.dictionary.sample_dictionary`, and the atoms'
+  normalisation gives a column the same bits in any grouping.
+
+:func:`encode_store_block` and :func:`assemble_blocks` are the one
+block encode and the one block assembly; the distributed store
+transform (:func:`repro.core.exd.exd_transform_distributed`) runs them
+too, so its ranks produce the same bits.
 
 With a ``checkpoint_dir`` the encoder spills every finished block's
 coefficients to disk and atomically rewrites a checkpoint manifest, so a
@@ -41,7 +47,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.core.dictionary import Dictionary
-from repro.core.exd import ExDStats, _rescale_columns, normalize_columns
+from repro.core.exd import ExDStats, normalize_columns
 from repro.core.fastdict import (
     as_fast_dict_config,
     fit_fast_dict,
@@ -55,6 +61,7 @@ from repro.linalg.omp import (
     batch_omp_matrix,
     check_block_width,
     check_encode_args,
+    encode_block_bounds,
 )
 from repro.sparse.csc import CSCMatrix
 from repro.store.column_store import (
@@ -84,7 +91,10 @@ BLOCK_DIR = "blocks"
 # v3: the numpy kernel solves its triangular systems by sequential
 # substitution instead of LAPACK; v2 blocks were encoded by the
 # LAPACK-order kernel, so resuming one would mix bits and is refused.
-CHECKPOINT_FORMAT_VERSION = 3
+# v4: data columns are coded raw against unit atoms; v3 blocks were
+# coded from normalised columns and rescaled, so their coefficient bits
+# differ (supports do not) and resuming one is refused.
+CHECKPOINT_FORMAT_VERSION = 4
 
 #: Block width used when neither ``block_width`` nor a byte budget is
 #: given: four aligned compute panels per store read.
@@ -97,10 +107,10 @@ def plan_block_width(m: int, l: int, memory_budget_bytes: int,
 
     The budget covers the Eq. 4 per-processor footprint: the dictionary
     ``D`` (M·L words) plus its Gram matrix (L² words) are resident for
-    the whole run, and each streamed block then costs roughly two dense
-    copies of its columns (the raw read and the normalised working copy,
-    2·M words/column) plus the Batch-OMP correlation state (``DᵀA``
-    column and the α scratch vector, 2·L words/column).
+    the whole run, and each streamed block then costs one dense copy of
+    its columns (the raw read, which is encoded as it is, M
+    words/column) plus the Batch-OMP correlation state (``DᵀA`` column
+    and the α scratch vector, 2·L words/column).
 
     The result is rounded *down* to a multiple of
     :data:`~repro.linalg.omp.ENCODE_BLOCK_COLS` so the streamed panels
@@ -114,7 +124,7 @@ def plan_block_width(m: int, l: int, memory_budget_bytes: int,
                                              "memory_budget_bytes")
     itemsize = 8
     fixed = itemsize * (m * l + l * l)
-    per_column = itemsize * (2 * m + 2 * l + 8)
+    per_column = itemsize * (m + 2 * l + 8)
     width = max(memory_budget_bytes - fixed, 0) // per_column
     width = (width // ENCODE_BLOCK_COLS) * ENCODE_BLOCK_COLS
     if width < ENCODE_BLOCK_COLS:
@@ -165,7 +175,7 @@ def _atomic_savez(path: Path, **arrays) -> None:
 
 @dataclass
 class _Block:
-    """One finished block's coefficients (already rescaled)."""
+    """One finished block's coefficients and encode counts."""
 
     data: np.ndarray
     indices: np.ndarray
@@ -179,12 +189,12 @@ def sample_store_dictionary(store: ColumnStore, size: int, *, seed=None,
                             count_read=None) -> Dictionary:
     """Replay ``sample_dictionary`` reading only the sampled columns.
 
-    The atoms equal the in-memory ``normalize_columns(A)[0][:, idx]``
-    bit for bit, because ``normalize_columns`` gives a column the same
-    bits whichever columns it is normalised with.  Shared by the
-    streaming encoder and the distributed store transform (rank 0
-    samples, then broadcasts).  ``count_read(cols, arr)``, when given,
-    observes the store read.
+    With ``normalize`` the sampled columns are scaled to unit atoms;
+    they equal the in-memory ``exd_transform``'s atoms bit for bit,
+    because ``normalize_columns`` gives a column the same bits whichever
+    columns it is normalised with.  Shared by the streaming encoder and
+    the distributed store transform (rank 0 samples, then broadcasts).
+    ``count_read(cols, arr)``, when given, observes the store read.
     """
     rng = as_generator(seed)
     idx = np.sort(rng.choice(store.shape[1], size=size, replace=False))
@@ -192,6 +202,55 @@ def sample_store_dictionary(store: ColumnStore, size: int, *, seed=None,
     if count_read is not None:
         count_read(idx, raw)
     return Dictionary(normalize_columns(raw)[0] if normalize else raw, idx)
+
+
+def encode_store_block(store: ColumnStore, dictionary, gram: np.ndarray,
+                       eps: float, lo: int, hi: int, *,
+                       max_atoms: int | None = None, strict: bool = False,
+                       workers: int | None = None,
+                       count_read=None) -> tuple[_Block, int]:
+    """Read columns ``[lo, hi)`` of ``store`` and code them as read.
+
+    Returns the block and its Batch-OMP FLOPs.  ``lo`` must lie on an
+    encode panel boundary, so the block's codes equal the in-memory
+    encode's columns ``lo..hi-1`` bit for bit.  ``count_read(cols,
+    arr)``, when given, observes the store read.
+    """
+    raw = store.read_range(lo, hi)
+    if count_read is not None:
+        count_read(np.arange(lo, hi), raw)
+    c, st = batch_omp_matrix(dictionary, raw, eps, max_atoms=max_atoms,
+                             strict=strict, gram=gram, workers=workers)
+    return _Block(data=c.data, indices=c.indices, indptr=c.indptr,
+                  iterations=st.total_iterations,
+                  converged=st.converged_columns), st.flops
+
+
+def assemble_blocks(dictionary, blocks: list[_Block],
+                    n: int) -> tuple[CSCMatrix, ExDStats]:
+    """Concatenate per-block CSC triples into the full ``C``.
+
+    Identical to what the in-memory column builder produces: the
+    per-column (indices, data) runs are bitwise equal, and the
+    global ``indptr`` is the same prefix-sum of column counts.
+    """
+    l = dictionary.size
+    c = CSCMatrix.hstack_all(
+        CSCMatrix(b.data, b.indices, b.indptr,
+                  (l, b.indptr.size - 1), check=False)
+        for b in blocks)
+    total_iters = sum(b.iterations for b in blocks)
+    # Additive form of the in-memory FLOP model: the DᵀA term
+    # 2·T·Σwᵢ telescopes to 2·T·N exactly, where T = transform_nnz
+    # is the per-column Dᵀx cost (M·L dense, Σⱼ nnz(Sⱼ) factored).
+    tnnz = dictionary.transform_nnz
+    flops = 2 * tnnz * n + 4 * l * total_iters + 2 * c.nnz
+    stats = ExDStats(
+        columns=n,
+        converged_columns=sum(b.converged for b in blocks),
+        omp_iterations=total_iters,
+        flops=int(flops))
+    return c, stats
 
 
 class StreamingEncoder:
@@ -397,16 +456,6 @@ class StreamingEncoder:
                 f"contents (fingerprint mismatch); the data changed "
                 f"since the run started")
         params = state.get("params", {})
-        # Checkpoints written while the kernel was selectable record the
-        # one that encoded their blocks; only the numpy kernel's blocks
-        # match this version's bits.
-        if params.get("backend", "numpy") != "numpy":
-            raise CheckpointError(
-                f"checkpoint {path} was encoded by the "
-                f"{params['backend']!r} kernel, which this version does "
-                f"not have; remove the directory and rerun")
-        # Pre-FastDict checkpoints encoded the dense sample.
-        params.setdefault("fast_dict", None)
         ck_width = params.get("block_width")
         if not self._width_pinned and isinstance(ck_width, int) \
                 and ck_width > 0 and ck_width % ENCODE_BLOCK_COLS == 0:
@@ -522,7 +571,7 @@ class StreamingEncoder:
         self._bytes_read = 0
         self._chunks_read = 0
         self._checkpoints_written = 0
-        m, n = self.store.shape
+        n = self.store.shape[1]
         entries: dict[int, dict] = {}
         resumed = False
 
@@ -532,8 +581,7 @@ class StreamingEncoder:
             # bounds are derived only afterwards.
             state = self._load_checkpoint(resume)
             width = self.block_width
-            bounds = [(lo, min(lo + width, n))
-                      for lo in range(0, n, width)]
+            bounds = encode_block_bounds(n, width)
             if state is not None:
                 dictionary, entries = state
                 resumed = True
@@ -565,22 +613,10 @@ class StreamingEncoder:
                         obs.inc("store.blocks_reused")
                         continue
                     del entries[index]
-                raw = self.store.read_range(lo, hi)
-                self._count_read(np.arange(lo, hi), raw)
-                if self.normalize:
-                    work, norms = normalize_columns(raw)
-                else:
-                    work, norms = raw, None
-                c_blk, st = batch_omp_matrix(
-                    dictionary, work, self.eps,
+                block, _flops = encode_store_block(
+                    self.store, dictionary, gram, self.eps, lo, hi,
                     max_atoms=self.max_atoms, strict=self.strict,
-                    gram=gram, workers=self.workers)
-                if self.normalize:
-                    c_blk = _rescale_columns(c_blk, norms)
-                block = _Block(data=c_blk.data, indices=c_blk.indices,
-                               indptr=c_blk.indptr,
-                               iterations=st.total_iterations,
-                               converged=st.converged_columns)
+                    workers=self.workers, count_read=self._count_read)
                 if self.checkpoint_dir is not None:
                     self._spill_block(index, lo, hi, block, entries)
                 blocks.append(block)
@@ -589,7 +625,7 @@ class StreamingEncoder:
             if self.checkpoint_dir is not None:
                 self._write_checkpoint(entries, "complete")
 
-            c, stats = self._assemble(dictionary, blocks, m, n)
+            c, stats = assemble_blocks(dictionary, blocks, n)
         meta = {"normalized": self.normalize}
         if not isinstance(dictionary, Dictionary):
             meta["fastdict_rc"] = float(dictionary.relative_complexity)
@@ -607,29 +643,3 @@ class StreamingEncoder:
             checkpoints_written=self._checkpoints_written,
             resumed=resumed)
         return transform, stats, report
-
-    def _assemble(self, dictionary, blocks: list[_Block],
-                  m: int, n: int) -> tuple[CSCMatrix, ExDStats]:
-        """Concatenate per-block CSC triples into the full ``C``.
-
-        Identical to what the in-memory column builder produces: the
-        per-column (indices, data) runs are bitwise equal, and the
-        global ``indptr`` is the same prefix-sum of column counts.
-        """
-        l = dictionary.size
-        c = CSCMatrix.hstack_all(
-            CSCMatrix(b.data, b.indices, b.indptr,
-                      (l, b.indptr.size - 1), check=False)
-            for b in blocks)
-        total_iters = sum(b.iterations for b in blocks)
-        # Additive form of the in-memory FLOP model: the DᵀA term
-        # 2·T·Σwᵢ telescopes to 2·T·N exactly, where T = transform_nnz
-        # is the per-column Dᵀx cost (M·L dense, Σⱼ nnz(Sⱼ) factored).
-        tnnz = dictionary.transform_nnz
-        flops = 2 * tnnz * n + 4 * l * total_iters + 2 * c.nnz
-        stats = ExDStats(
-            columns=n,
-            converged_columns=sum(b.converged for b in blocks),
-            omp_iterations=total_iters,
-            flops=int(flops))
-        return c, stats

@@ -103,8 +103,8 @@ class TestExdDistributed:
             "fork" not in multiprocessing.get_all_start_methods(),
             reason="process backend requires the fork start method"))])
     def test_bits_match_serial(self, backend, normalize):
-        """Every rank normalises only its atoms and its column block;
-        the blocks of N=700 on 4 ranks start mid-panel."""
+        """Every rank normalises only its atoms and codes its column
+        block as it is; the blocks of N=700 on 4 ranks start mid-panel."""
         from repro.data import salina_like
 
         a, _ = salina_like(n=700, seed=3)

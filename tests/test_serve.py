@@ -497,22 +497,45 @@ class TestHTTP:
         assert server.request("GET", "/nope")[0] == 404
         assert server.request("POST", "/healthz")[0] == 405
 
-    @pytest.mark.parametrize("declared, status", [
-        ("abc", 400), ("-5", 400), ("999999999", 413)])
-    def test_bad_content_length_is_answered(self, server, declared, status):
+    @staticmethod
+    def _assert_answered_and_closed(server, request: bytes, status: int):
+        """Send raw ``request`` bytes; the server must answer ``status``
+        with a JSON error and close the connection."""
+        reply = b""
         with socket.create_connection((server.host, server.port),
                                       timeout=10) as sock:
-            sock.sendall(f"POST /v1/encode HTTP/1.1\r\nHost: t\r\n"
-                         f"Content-Length: {declared}\r\n\r\n"
-                         .encode("latin-1"))
-            reply = b""
-            while chunk := sock.recv(65536):
-                reply += chunk
+            sock.sendall(request)
+            try:
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            except ConnectionResetError:
+                # Closing with request bytes still unread resets the
+                # connection after the answer.
+                pass
         head, _, body = reply.partition(b"\r\n\r\n")
         lines = head.decode("latin-1").split("\r\n")
         assert lines[0].split(" ")[1] == str(status), reply
         assert "Connection: close" in lines
         assert "error" in json.loads(body)
+
+    @pytest.mark.parametrize("declared, status", [
+        ("abc", 400), ("-5", 400), ("999999999", 413)])
+    def test_bad_content_length_is_answered(self, server, declared, status):
+        self._assert_answered_and_closed(
+            server, f"POST /v1/encode HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {declared}\r\n\r\n".encode("latin-1"),
+            status)
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nHost: t\r\nX-Pad: "
+         + b"a" * 70_000 + b"\r\n\r\n", 431),
+    ], ids=["request-line", "header-block"])
+    def test_bad_request_head_is_answered(self, server, request_bytes,
+                                          status):
+        """A request line that is not three fields gets 400 and a header
+        block above ``MAX_HEADER_BYTES`` 431, instead of a silent close."""
+        self._assert_answered_and_closed(server, request_bytes, status)
 
     def test_bad_json_is_400(self, server):
         conn = http.client.HTTPConnection(server.host, server.port,

@@ -6,10 +6,10 @@ the three fit datasets of perfbench's ``fit_learn_spmd`` workload
 (Salinas surrogate, M=203, N=4096) and tunes each one as that
 workload's fit does: Eq. 2 on one node of two Xeon-X5660-like cores,
 ε=0.1, the fit's seed.  Each dataset is tuned at ``workers`` 1 and 2,
-and one JSON line reports L*, the L of every table row and
-``subset_columns``.  The lines are deterministic, so diffing them
-between two commits compares their picks and tables.  Exits 1 if the
-two worker counts disagree.
+and one JSON line reports L*, every table row as ``[L, α, predicted
+nnz, cost]`` and ``subset_columns``.  The lines are deterministic, so
+diffing them between two commits compares their picks and whole
+tables.  Exits 1 if the two worker counts disagree.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
             agree &= same
             print(json.dumps({
                 "seed": seed, "dataset": j, "best_size": serial.best_size,
-                "rows": [row[0] for row in serial.table],
+                "rows": [list(row) for row in serial.table],
                 "subset_columns": serial.subset_columns,
                 "workers_agree": same}), flush=True)
     if not agree:
