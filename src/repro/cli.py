@@ -103,17 +103,6 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
                         help="parallel encode/tuning workers: omit for "
                              "serial, -1 for all cores (results are "
                              "identical for every value)")
-    _add_mpi_backend_argument(parser)
-
-
-def _add_mpi_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mpi-backend", default=None,
-                        choices=("threads", "processes", "auto"),
-                        help="SPMD execution backend for emulated runs "
-                             "(default: the REPRO_MPI_BACKEND "
-                             "environment variable, then 'auto'); the "
-                             "model accounting is identical either way "
-                             "— see docs/mpi_backends.md")
 
 
 def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
@@ -601,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="bill per-tenant Eq. 2/3 costs against this "
                             "platform's cost model")
-    _add_mpi_backend_argument(p_srv)
 
     p_mnt = sub.add_parser("maintain", help="drift-aware online "
                                             "dictionary maintenance")
@@ -670,17 +658,11 @@ def main(argv=None) -> int:
         observability.reset()
         observability.enable()
     try:
-        from repro.mpi import set_default_mpi_backend
-
-        # --mpi-backend installs the process-wide SPMD backend default
-        # (argument > this default > REPRO_MPI_BACKEND > auto).
-        set_default_mpi_backend(getattr(args, "mpi_backend", None))
         return _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        set_default_mpi_backend(None)
         if observe:
             report = observability.collect_report(
                 command=args.command,

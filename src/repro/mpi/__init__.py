@@ -1,15 +1,15 @@
-"""MPI emulator with an mpi4py-style API and pluggable backends.
+"""MPI emulator: the four collectives the SPMD rank programs use.
 
 The paper's reference implementation is C++/MPI; this package provides a
 faithful message-passing runtime that executes the same SPMD algorithms
 on one host:
 
-* each rank runs the user's rank program in its own thread (default) or
-  its own forked process (``backend="processes"``, real parallelism
-  with shared-memory payload transfer — see ``docs/mpi_backends.md``);
-* lowercase methods (``send``/``recv``/``bcast``/...) communicate pickled
-  Python objects, uppercase methods (``Send``/``Recv``/``Bcast``/...)
-  communicate numpy buffers — mirroring mpi4py's convention;
+* each rank runs the user's rank program in its own thread or its own
+  forked process (real parallelism with shared-memory payload transfer
+  — see ``docs/mpi_backends.md``); ``auto`` picks from the host;
+* a rank's communicator offers ``bcast``, ``reduce``, ``allreduce`` and
+  ``gather`` over the whole world (mpi4py's lowercase, pickled-object
+  convention), plus ``charge_flops``, ``Get_rank`` and ``Get_size``;
 * every transfer is tallied in words (float64 units) by a traffic
   ledger, and, when a :class:`~repro.platform.cluster.ClusterConfig` is
   supplied, advances per-rank virtual clocks through the α-β cost model
@@ -20,33 +20,23 @@ on one host:
 Entry point: :func:`repro.mpi.runtime.run_spmd`.
 """
 
-from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, words_of
+from repro.mpi.datatypes import words_of
 from repro.mpi.counters import TrafficLedger
-from repro.mpi.request import Request
 from repro.mpi.communicator import Communicator, REDUCE_OPS
 from repro.mpi.runtime import (
-    MPI_BACKEND_ENV,
     MPI_BACKENDS,
     SPMDResult,
-    default_mpi_backend_name,
     resolve_mpi_backend,
     run_spmd,
-    set_default_mpi_backend,
 )
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "words_of",
     "TrafficLedger",
-    "Request",
     "Communicator",
     "REDUCE_OPS",
     "run_spmd",
     "SPMDResult",
-    "MPI_BACKEND_ENV",
     "MPI_BACKENDS",
-    "default_mpi_backend_name",
     "resolve_mpi_backend",
-    "set_default_mpi_backend",
 ]

@@ -1,30 +1,24 @@
-"""The emulated communicator (mpi4py-style API).
+"""The emulated communicator: rooted collectives on the world.
 
-Lowercase methods move pickled Python objects; uppercase methods move
-numpy buffers (the "fast way" of the mpi4py tutorial).  Every operation
-tallies traffic and — when the world was created with a cluster — plays
-the α-β cost model forward on per-rank virtual clocks.
-
-Sub-communicators are supported through :meth:`Communicator.Split`
-(colour/key semantics as in MPI); a communicator addresses peers by
-*local* rank, while traffic, clocks and the cost model always see the
-underlying world ranks.
+The SPMD algorithms of the paper communicate only through collectives:
+Alg. 1 broadcasts the sampled indices and gathers the codes, and each
+Alg. 2 Gram update reduces and broadcasts one ``min(M, L)``-vector.  So
+a rank's communicator offers exactly ``bcast``, ``reduce``,
+``allreduce`` and ``gather`` over every rank of the world, plus
+``charge_flops`` to bill local arithmetic.  Values are Python objects
+(numpy arrays included); every rank receives a private copy.  Every
+operation tallies traffic and — when the world was created with a
+cluster — plays the α-β cost model forward on per-rank virtual clocks.
 
 Performance-model conventions (see :mod:`repro.platform.cost`):
 
 ==============  ==================================  =========================
 operation       critical-path payload words         wire words
 ==============  ==================================  =========================
-send/recv       w                                   w
 bcast           w                                   (P-1)·w
 reduce          w                                   (P-1)·w
 allreduce       2·w  (reduce + bcast)               2·(P-1)·w
 gather          (P-1)·w  (root port bound)          (P-1)·w
-scatter         (P-1)·w                             (P-1)·w
-allgather       (P-1)·w                             P·(P-1)·w
-alltoall        (P-1)·w                             P·(P-1)·w
-reduce_scatter  2·w  (reduce + scatter of chunks)   2·(P-1)·w
-barrier         0                                   0
 ==============  ==================================  =========================
 """
 
@@ -33,16 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MPIEmulatorError, ValidationError
-from repro.mpi.datatypes import (
-    ANY_SOURCE,
-    ANY_TAG,
-    deserialize,
-    serialize,
-    words_of,
-)
-from repro.mpi.request import Request
-from repro.mpi.world import CollectiveSlot, Message, World
-from repro.platform.cost import collective_energy, collective_time, p2p_energy, p2p_time
+from repro.mpi.datatypes import deserialize, serialize, words_of
+from repro.mpi.world import CollectiveSlot, World
+from repro.platform.cost import collective_energy, collective_time
 
 #: Supported named reduction operators.
 REDUCE_OPS = ("sum", "prod", "max", "min")
@@ -55,56 +42,33 @@ _OP_FUNCS = {
 }
 
 
-def _resolve_op(op):
-    if callable(op):
-        return op
-    if op in _OP_FUNCS:
+def _resolve_op(op: str):
+    if isinstance(op, str) and op in _OP_FUNCS:
         return _OP_FUNCS[op]
     raise ValidationError(
-        f"unknown reduction op {op!r}; choose from {REDUCE_OPS} or a callable")
+        f"unknown reduction op {op!r}; choose from {REDUCE_OPS}")
 
 
 class Communicator:
-    """One rank's endpoint into an emulated MPI world (or a sub-group)."""
+    """One rank's endpoint into an emulated MPI world."""
 
-    def __init__(self, world: World, rank: int, *, group=None,
-                 comm_id: int = 0) -> None:
-        self.world = world
-        self.group = tuple(group) if group is not None \
-            else tuple(range(world.size))
-        if not 0 <= rank < len(self.group):
+    def __init__(self, world: World, rank: int) -> None:
+        if not 0 <= rank < world.size:
             raise MPIEmulatorError(
-                f"rank {rank} out of range [0, {len(self.group)})")
-        self.rank = rank
-        self.size = len(self.group)
-        self.comm_id = comm_id
-        self.world_rank = self.group[rank]
+                f"rank {rank} out of range [0, {world.size})")
+        self._world = world
+        self._rank = rank
+        self._size = world.size
         self._coll_seq = 0
 
     # mpi4py-style accessors ------------------------------------------------
     def Get_rank(self) -> int:
-        """This process's rank within this communicator."""
-        return self.rank
+        """This process's rank in the world."""
+        return self._rank
 
     def Get_size(self) -> int:
-        """Number of ranks in this communicator."""
-        return self.size
-
-    @property
-    def clock(self):
-        """This rank's virtual clock."""
-        return self.world.clocks[self.world_rank]
-
-    @property
-    def traffic(self):
-        """The world-wide traffic ledger."""
-        return self.world.traffic
-
-    def _world_dest(self, local: int, what: str) -> int:
-        if not 0 <= local < self.size:
-            raise ValidationError(
-                f"{what} {local} out of range [0, {self.size})")
-        return self.group[local]
+        """Number of ranks in the world."""
+        return self._size
 
     # ------------------------------------------------------------------
     # compute accounting
@@ -118,334 +82,128 @@ class Communicator:
         total = getattr(flops, "total", flops)
         if total < 0:
             raise ValidationError(f"flops must be >= 0, got {total}")
-        with self.world.cond:
-            if self.world.cluster is not None:
-                start = self.clock.time
-                self.clock.charge_compute(
-                    total, self.world.cluster.machine_of(self.world_rank))
-                self.world.record_event("compute", (self.world_rank,),
-                                        start, self.clock.time)
+        world = self._world
+        with world.cond:
+            clock = world.clocks[self._rank]
+            if world.cluster is not None:
+                start = clock.time
+                clock.charge_compute(total,
+                                     world.cluster.machine_of(self._rank))
+                world.record_event("compute", (self._rank,), start,
+                                   clock.time)
             else:
-                self.clock.flops += int(total)
-
-    # ------------------------------------------------------------------
-    # point-to-point
-    # ------------------------------------------------------------------
-    def _do_send(self, payload, words: int, dest: int, tag: int,
-                 is_buffer: bool) -> None:
-        if tag < 0:
-            raise ValidationError(f"tag must be >= 0, got {tag}")
-        wdest = self._world_dest(dest, "dest")
-        world = self.world
-        with world.cond:
-            world.check_abort()
-            clock = self.clock
-            arrival = clock.time
-            if world.cluster is not None and wdest != self.world_rank:
-                transfer = p2p_time(world.cluster, self.world_rank, wdest,
-                                    words)
-                joules = p2p_energy(world.cluster, self.world_rank, wdest,
-                                    words)
-                arrival = clock.time + transfer
-                # Buffered send: the sender pays the injection latency and
-                # the energy; the payload lands at `arrival`.
-                clock.advance(world.cluster.machine.latency(
-                    inter_node=world.cluster.is_inter_node(
-                        self.world_rank, wdest)), joules)
-            clock.record_traffic(words)
-            world.traffic.record("send", words, words)
-            world.record_event("send", (self.world_rank, wdest),
-                               clock.time, arrival, words=words)
-            world.post_message(self.world_rank, wdest, self.comm_id, tag,
-                               Message(payload, words, arrival, is_buffer))
-
-    def send(self, obj, dest: int, tag: int = 0) -> None:
-        """Blocking (buffered) send of a pickled Python object."""
-        blob = serialize(obj)
-        self._do_send(blob, words_of(obj), dest, tag, is_buffer=False)
-
-    def Send(self, buf, dest: int, tag: int = 0) -> None:
-        """Blocking (buffered) send of a numpy array."""
-        arr = np.ascontiguousarray(buf)
-        self._do_send(arr.copy(), words_of(arr), dest, tag, is_buffer=True)
-
-    def _source_filter(self, source: int) -> int:
-        if source < 0:
-            return ANY_SOURCE
-        return self._world_dest(source, "source")
-
-    def _do_recv(self, source: int, tag: int):
-        wsource = self._source_filter(source)
-        world = self.world
-        with world.cond:
-            def ready():
-                return world.find_message(self.world_rank, wsource,
-                                          self.comm_id, tag)
-            key = ready() or world.blocking_wait(
-                ready, rank=self.world_rank,
-                what=f"recv(source={source}, tag={tag})")
-            msg = world.pop_message(key)
-            self.clock.synchronize_to(msg.arrival_time)
-            return msg
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Blocking receive of a pickled Python object."""
-        msg = self._do_recv(source, tag)
-        if msg.is_buffer:
-            return msg.payload  # already a private copy
-        return deserialize(msg.payload)
-
-    def Recv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> None:
-        """Blocking receive into a pre-allocated numpy buffer."""
-        out = np.asarray(buf)
-        msg = self._do_recv(source, tag)
-        payload = msg.payload if msg.is_buffer else deserialize(msg.payload)
-        payload = np.asarray(payload)
-        if payload.size > out.size:
-            raise MPIEmulatorError(
-                f"receive buffer too small: {out.size} < {payload.size}")
-        flat = out.reshape(-1)
-        flat[:payload.size] = payload.reshape(-1)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking check whether a matching message is deliverable."""
-        wsource = self._source_filter(source)
-        with self.world.cond:
-            self.world.check_abort()
-            return self.world.find_message(self.world_rank, wsource,
-                                           self.comm_id, tag) is not None
-
-    Iprobe = probe
-
-    def isend(self, obj, dest: int, tag: int = 0) -> Request:
-        """Non-blocking send (buffered: completes immediately)."""
-        self.send(obj, dest, tag)
-        return Request(kind="send", complete_fn=lambda: None,
-                       poll_fn=lambda: (True, None))
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; ``wait()`` returns the object."""
-        def poll():
-            world = self.world
-            wsource = self._source_filter(source)
-            with world.cond:
-                world.check_abort()
-                key = world.find_message(self.world_rank, wsource,
-                                         self.comm_id, tag)
-                if key is None:
-                    return False, None
-                msg = world.pop_message(key)
-                self.clock.synchronize_to(msg.arrival_time)
-                value = msg.payload if msg.is_buffer \
-                    else deserialize(msg.payload)
-                return True, value
-        return Request(kind="recv",
-                       complete_fn=lambda: self.recv(source, tag),
-                       poll_fn=poll)
-
-    def sendrecv(self, obj, dest: int, source: int = ANY_SOURCE,
-                 sendtag: int = 0, recvtag: int = ANY_TAG):
-        """Combined send-then-receive (deadlock-safe: send is buffered)."""
-        self.send(obj, dest, sendtag)
-        return self.recv(source, recvtag)
+                clock.flops += int(total)
 
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
     def _charge_collective(self, op: str, root: int, payload_words: int,
                            phase_words: list[int], wire_words: int) -> None:
-        """Advance the group's clocks through the collective (lock held)."""
-        world = self.world
+        """Advance every rank's clock through the collective (lock held)."""
+        world = self._world
         world.traffic.record(op, payload_words, wire_words)
-        if world.cluster is None or self.size == 1:
+        if world.cluster is None or self._size == 1:
             return
-        participants = list(self.group)
-        wroot = self.group[root]
-        clocks = [world.clocks[r] for r in participants]
+        participants = list(range(self._size))
+        clocks = world.clocks
         t0 = max(c.time for c in clocks)
         duration = 0.0
         joules = 0.0
         for w in phase_words:
             duration += collective_time(
-                world.cluster, wroot, participants, w,
+                world.cluster, root, participants, w,
                 algorithm=world.collective_algorithm)
             joules += collective_energy(
-                world.cluster, wroot, participants, w,
+                world.cluster, root, participants, w,
                 algorithm=world.collective_algorithm)
         for c in clocks:
             c.synchronize_to(t0 + duration)
         # Energy is a global quantity; bill it once, on the root's clock,
         # so that summing clock energies gives the true total.
-        world.clocks[wroot].advance(0.0, joules)
+        clocks[root].advance(0.0, joules)
         world.record_event(op, participants, t0, t0 + duration,
                            words=payload_words)
 
     def _rendezvous(self, op: str, root: int, contribution,
                     finalize) -> CollectiveSlot:
-        """Join this group's collective number ``seq``."""
-        world = self.world
+        """Join the world's collective number ``seq``."""
+        world = self._world
         with world.cond:
             world.check_abort()
             seq = self._coll_seq
             self._coll_seq += 1
-            key = (self.comm_id, seq)
-            slot = world.collectives.get(key)
+            slot = world.collectives.get(seq)
             if slot is None:
                 slot = CollectiveSlot(op, root)
-                world.collectives[key] = slot
+                world.collectives[seq] = slot
             elif slot.op != op or slot.root != root:
                 exc = MPIEmulatorError(
                     f"collective mismatch at sequence {seq}: rank "
-                    f"{self.rank} called {op}(root={root}) but another rank "
-                    f"called {slot.op}(root={slot.root})")
+                    f"{self._rank} called {op}(root={root}) but another "
+                    f"rank called {slot.op}(root={slot.root})")
                 world._abort(exc)
                 raise exc
-            slot.contributions[self.rank] = contribution
+            slot.contributions[self._rank] = contribution
             slot.arrived += 1
-            if slot.arrived == self.size:
+            if slot.arrived == self._size:
                 slot.result = finalize(slot)
                 slot.completed = True
                 world.progress += 1
                 world.cond.notify_all()
             else:
                 world.blocking_wait(lambda: slot.completed,
-                                    rank=self.world_rank,
-                                    what=f"collective {op} #{seq} "
-                                         f"(comm {self.comm_id})")
+                                    rank=self._rank,
+                                    what=f"collective {op} #{seq}")
             slot.departed += 1
-            if slot.departed == self.size:
-                del world.collectives[key]
+            if slot.departed == self._size:
+                del world.collectives[seq]
             return slot
-
-    def barrier(self) -> None:
-        """Synchronise this communicator's ranks (and virtual clocks)."""
-        def finalize(slot):
-            world = self.world
-            world.traffic.record("barrier", 0, 0)
-            if world.cluster is not None and self.size > 1:
-                clocks = [world.clocks[r] for r in self.group]
-                t0 = max(c.time for c in clocks)
-                alpha = world.cluster.machine.latency(
-                    inter_node=world.cluster.worst_link_inter())
-                for c in clocks:
-                    c.synchronize_to(t0 + alpha)
-                world.record_event("barrier", self.group, t0, t0 + alpha)
-            return None
-        self._rendezvous("barrier", 0, None, finalize)
-
-    Barrier = barrier
 
     def bcast(self, obj, root: int = 0):
         """Broadcast a Python object from ``root`` to all ranks."""
         self._check_root(root)
-        payload = serialize(obj) if self.rank == root else None
+        payload = serialize(obj) if self._rank == root else None
 
         def finalize(slot):
             blob = slot.contributions[root]
             w = words_of(deserialize(blob))
             self._charge_collective("bcast", root, w, [w],
-                                    (self.size - 1) * w)
+                                    (self._size - 1) * w)
             return blob
         slot = self._rendezvous("bcast", root, payload, finalize)
         # Each rank deserialises its own copy: no shared mutable state.
         return deserialize(slot.result)
-
-    def Bcast(self, buf, root: int = 0) -> None:
-        """Broadcast a numpy buffer from ``root`` in place."""
-        self._check_root(root)
-        arr = np.asarray(buf)
-        payload = np.ascontiguousarray(arr).copy() if self.rank == root else None
-
-        def finalize(slot):
-            data = slot.contributions[root]
-            w = words_of(data)
-            self._charge_collective("bcast", root, w, [w],
-                                    (self.size - 1) * w)
-            return data
-        slot = self._rendezvous("bcast", root, payload, finalize)
-        if self.rank != root:
-            src = slot.result
-            if src.size != arr.size:
-                raise MPIEmulatorError(
-                    f"Bcast buffer mismatch: {arr.size} != {src.size}")
-            arr.reshape(-1)[:] = src.reshape(-1)
 
     def _reduce_slot(self, kind: str, root: int, value, op):
         fn = _resolve_op(op)
 
         def finalize(slot):
             acc = None
-            for r in range(self.size):
+            for r in range(self._size):
                 v = slot.contributions[r]
                 acc = v if acc is None else fn(acc, v)
             w = words_of(acc)
             phases = [w, w] if kind == "allreduce" else [w]
-            wire = (2 if kind == "allreduce" else 1) * (self.size - 1) * w
+            wire = (2 if kind == "allreduce" else 1) * (self._size - 1) * w
             self._charge_collective(kind, root, sum(phases), phases, wire)
             return acc
         contribution = np.array(value, copy=True) \
             if isinstance(value, np.ndarray) else value
         return self._rendezvous(kind, root, contribution, finalize)
 
-    def reduce(self, value, op="sum", root: int = 0):
+    def reduce(self, value, op: str = "sum", root: int = 0):
         """Reduce Python/numpy values to ``root`` (others get ``None``)."""
         self._check_root(root)
         slot = self._reduce_slot("reduce", root, value, op)
-        if self.rank != root:
+        if self._rank != root:
             return None
         res = slot.result
         return res.copy() if isinstance(res, np.ndarray) else res
 
-    def allreduce(self, value, op="sum"):
+    def allreduce(self, value, op: str = "sum"):
         """Reduce values and deliver the result to every rank."""
         slot = self._reduce_slot("allreduce", 0, value, op)
         res = slot.result
-        return res.copy() if isinstance(res, np.ndarray) else res
-
-    def Reduce(self, sendbuf, recvbuf, op="sum", root: int = 0) -> None:
-        """Buffer reduce: ``recvbuf`` is filled on ``root`` only."""
-        result = self.reduce(np.asarray(sendbuf), op=op, root=root)
-        if self.rank == root:
-            out = np.asarray(recvbuf)
-            out.reshape(-1)[:] = np.asarray(result).reshape(-1)
-
-    def Allreduce(self, sendbuf, recvbuf, op="sum") -> None:
-        """Buffer allreduce: ``recvbuf`` is filled on every rank."""
-        result = self.allreduce(np.asarray(sendbuf), op=op)
-        out = np.asarray(recvbuf)
-        out.reshape(-1)[:] = np.asarray(result).reshape(-1)
-
-    def reduce_scatter(self, values, op="sum"):
-        """Reduce a length-P sequence element-wise, scatter the chunks.
-
-        Rank ``r`` receives ``op``-reduction of ``values[r]`` over all
-        ranks — MPI's ``Reduce_scatter`` with one block per rank.
-        """
-        values = list(values)
-        if len(values) != self.size:
-            raise ValidationError(
-                f"reduce_scatter needs exactly {self.size} values, "
-                f"got {len(values)}")
-        fn = _resolve_op(op)
-
-        def finalize(slot):
-            chunks = []
-            w = 0
-            for j in range(self.size):
-                acc = None
-                for r in range(self.size):
-                    v = slot.contributions[r][j]
-                    acc = v if acc is None else fn(acc, v)
-                chunks.append(acc)
-                w = max(w, words_of(acc))
-            payload = 2 * w
-            self._charge_collective("reduce_scatter", 0, payload, [w, w],
-                                    2 * (self.size - 1) * w)
-            return chunks
-        contribution = [np.array(v, copy=True)
-                        if isinstance(v, np.ndarray) else v for v in values]
-        slot = self._rendezvous("reduce_scatter", 0, contribution, finalize)
-        res = slot.result[self.rank]
         return res.copy() if isinstance(res, np.ndarray) else res
 
     def gather(self, value, root: int = 0):
@@ -453,156 +211,18 @@ class Communicator:
         self._check_root(root)
 
         def finalize(slot):
-            values = [slot.contributions[r] for r in range(self.size)]
+            values = [slot.contributions[r] for r in range(self._size)]
             w = max(words_of(deserialize(v)) for v in values)
-            payload = (self.size - 1) * w
+            payload = (self._size - 1) * w
             self._charge_collective("gather", root, payload, [payload],
-                                    (self.size - 1) * w)
+                                    (self._size - 1) * w)
             return values
         slot = self._rendezvous("gather", root, serialize(value), finalize)
-        if self.rank != root:
+        if self._rank != root:
             return None
         return [deserialize(v) for v in slot.result]
-
-    def allgather(self, value):
-        """Gather one value per rank into a list on every rank."""
-        def finalize(slot):
-            values = [slot.contributions[r] for r in range(self.size)]
-            w = max(words_of(deserialize(v)) for v in values)
-            payload = (self.size - 1) * w
-            self._charge_collective("allgather", 0, payload, [payload],
-                                    self.size * (self.size - 1) * w)
-            return values
-        slot = self._rendezvous("allgather", 0, serialize(value), finalize)
-        return [deserialize(v) for v in slot.result]
-
-    def Gather(self, sendbuf, recvbuf, root: int = 0) -> None:
-        """Buffer gather: rank r's array lands in ``recvbuf[r]`` on root."""
-        parts = self.gather(np.ascontiguousarray(sendbuf), root=root)
-        if self.rank == root:
-            out = np.asarray(recvbuf)
-            stacked = np.stack([np.asarray(p) for p in parts])
-            out.reshape(stacked.shape)[:] = stacked
-
-    def Allgather(self, sendbuf, recvbuf) -> None:
-        """Buffer allgather into ``recvbuf`` (shape ``(P, ...)`` or flat)."""
-        parts = self.allgather(np.ascontiguousarray(sendbuf))
-        out = np.asarray(recvbuf)
-        stacked = np.stack([np.asarray(p) for p in parts])
-        out.reshape(stacked.shape)[:] = stacked
-
-    def scatter(self, values, root: int = 0):
-        """Scatter a length-P sequence from ``root``; returns own element."""
-        self._check_root(root)
-        payload = None
-        if self.rank == root:
-            values = list(values)
-            if len(values) != self.size:
-                raise ValidationError(
-                    f"scatter needs exactly {self.size} values, "
-                    f"got {len(values)}")
-            payload = [serialize(v) for v in values]
-
-        def finalize(slot):
-            blobs = slot.contributions[root]
-            w = max(words_of(deserialize(b)) for b in blobs)
-            payload_words = (self.size - 1) * w
-            self._charge_collective("scatter", root, payload_words,
-                                    [payload_words], (self.size - 1) * w)
-            return blobs
-        slot = self._rendezvous("scatter", root, payload, finalize)
-        return deserialize(slot.result[self.rank])
-
-    def Scatter(self, sendbuf, recvbuf, root: int = 0) -> None:
-        """Buffer scatter: row r of ``sendbuf`` (on root) → ``recvbuf``."""
-        values = None
-        if self.rank == root:
-            arr = np.asarray(sendbuf)
-            values = [np.ascontiguousarray(arr[r]) for r in range(self.size)]
-        part = self.scatter(values, root=root)
-        out = np.asarray(recvbuf)
-        out.reshape(-1)[:] = np.asarray(part).reshape(-1)
-
-    def alltoall(self, values):
-        """Personalised all-to-all: rank r receives ``values[r]`` of each."""
-        values = list(values)
-        if len(values) != self.size:
-            raise ValidationError(
-                f"alltoall needs exactly {self.size} values, "
-                f"got {len(values)}")
-
-        def finalize(slot):
-            w = 0
-            for r in range(self.size):
-                w = max(w, max(words_of(deserialize(b))
-                               for b in slot.contributions[r]))
-            payload = (self.size - 1) * w
-            self._charge_collective("alltoall", 0, payload, [payload],
-                                    self.size * (self.size - 1) * w)
-            return None
-        blobs = [serialize(v) for v in values]
-        slot = self._rendezvous("alltoall", 0, blobs, finalize)
-        return [deserialize(slot.contributions[r][self.rank])
-                for r in range(self.size)]
-
-    # ------------------------------------------------------------------
-    # communicator management
-    # ------------------------------------------------------------------
-    def Split(self, color: int, key: int = 0) -> "Communicator | None":
-        """Partition this communicator by ``color``; order by ``key``.
-
-        Returns the new sub-communicator, or ``None`` for
-        ``color < 0`` (MPI's ``MPI_UNDEFINED``).  Collective over this
-        communicator.
-        """
-        color = int(color)
-        key = int(key)
-        contribution = (color, key, self.world_rank)
-
-        def finalize(slot):
-            # Deterministic fresh comm ids, one per colour, allocated in
-            # colour order so every member computes the same mapping.
-            world = self.world
-            colors = sorted({c for c, _, _ in slot.contributions.values()
-                             if c >= 0})
-            ids = {}
-            for c in colors:
-                ids[c] = world.next_comm_id
-                world.next_comm_id += 1
-            groups = {}
-            for c in colors:
-                members = sorted(
-                    ((k, wr) for (cc, k, wr) in slot.contributions.values()
-                     if cc == c))
-                groups[c] = tuple(wr for _, wr in members)
-            world.traffic.record("split", 0, 0)
-            return ids, groups
-        slot = self._rendezvous("split", 0, contribution, finalize)
-        if color < 0:
-            return None
-        ids, groups = slot.result
-        group = groups[color]
-        return Communicator(self.world, group.index(self.world_rank),
-                            group=group, comm_id=ids[color])
-
-    def Dup(self) -> "Communicator":
-        """Duplicate this communicator: same group, private tag space.
-
-        The MPI idiom for library isolation — messages sent on the
-        duplicate can never match receives posted on the original.
-        Collective over this communicator.
-        """
-        def finalize(slot):
-            world = self.world
-            cid = world.next_comm_id
-            world.next_comm_id += 1
-            world.traffic.record("dup", 0, 0)
-            return cid
-        slot = self._rendezvous("dup", 0, None, finalize)
-        return Communicator(self.world, self.rank, group=self.group,
-                            comm_id=slot.result)
 
     def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.size:
+        if not 0 <= root < self._size:
             raise ValidationError(
-                f"root {root} out of range [0, {self.size})")
+                f"root {root} out of range [0, {self._size})")

@@ -14,11 +14,6 @@ import numpy as np
 
 from repro.platform.machine import BYTES_PER_WORD
 
-#: Wildcard source for ``recv`` — matches any sending rank.
-ANY_SOURCE = -1
-#: Wildcard tag for ``recv`` — matches any message tag.
-ANY_TAG = -1
-
 
 def words_for_bytes(nbytes: int) -> int:
     """Whole words needed to carry ``nbytes`` bytes."""
@@ -42,7 +37,7 @@ def words_of(obj) -> int:
 
 
 def serialize(obj) -> bytes:
-    """Pickle a payload for lowercase (object) communication."""
+    """Pickle a payload for a collective."""
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 

@@ -19,13 +19,11 @@ Two interchangeable execution backends sit behind the same API (see
   (traffic ledger, virtual clocks, RunReport totals) stays in the
   parent and is bit-identical to the thread backend.
 
-``"auto"`` (the default) picks ``"processes"`` only where it can work
-and plausibly win: ``fork`` available, a non-daemonic single-threaded
-parent, more than one visible core, and ``size > 1``.  Resolution
-precedence: explicit ``backend=`` argument > process-wide default (the
-CLI's ``--mpi-backend`` sets it) > ``REPRO_MPI_BACKEND`` env var >
-``"auto"``.  A single-rank world always runs inline on the calling
-thread, whatever the backend says.
+``"auto"`` (the default, also what ``backend=None`` means) picks
+``"processes"`` only where it can work and plausibly win: ``fork``
+available, a non-daemonic single-threaded parent, more than one visible
+core, and ``size > 1``.  A single-rank world always runs inline on the
+calling thread, whatever the backend says.
 """
 
 from __future__ import annotations
@@ -39,41 +37,11 @@ from dataclasses import dataclass, field
 from repro.errors import DeadlockError, MPIEmulatorError, RankFailedError
 from repro.mpi.communicator import Communicator
 from repro.mpi.counters import TrafficLedger
-from repro.mpi.world import ABORT_GRACE_CAP, World
+from repro.mpi.world import World, join_with_abort_grace
 from repro.observability.report import record_spmd_run
-
-#: Environment override for the default SPMD execution backend.
-MPI_BACKEND_ENV = "REPRO_MPI_BACKEND"
 
 #: Concrete backend names (``"auto"`` resolves to one of these).
 MPI_BACKENDS = ("threads", "processes")
-
-_DEFAULT_MPI_BACKEND: str | None = None
-
-
-def set_default_mpi_backend(name: str | None) -> None:
-    """Set the process-wide default backend (``None`` clears it).
-
-    Sits between the explicit ``run_spmd(..., backend=...)`` argument
-    and the :data:`MPI_BACKEND_ENV` environment variable in precedence;
-    the CLI's ``--mpi-backend`` flag lands here.
-    """
-    global _DEFAULT_MPI_BACKEND
-    if name is not None:
-        name = str(name).strip().lower()
-        if name not in MPI_BACKENDS + ("auto",):
-            raise MPIEmulatorError(
-                f"unknown MPI backend {name!r}; choose from "
-                f"{MPI_BACKENDS + ('auto',)}")
-    _DEFAULT_MPI_BACKEND = name
-
-
-def default_mpi_backend_name() -> str:
-    """The backend used when ``run_spmd`` gets no ``backend=``."""
-    if _DEFAULT_MPI_BACKEND:
-        return _DEFAULT_MPI_BACKEND
-    env = os.environ.get(MPI_BACKEND_ENV, "").strip().lower()
-    return env or "auto"
 
 
 def _fork_capable() -> bool:
@@ -107,13 +75,11 @@ def resolve_mpi_backend(backend: str | None = None, *,
                         size: int = 2) -> str:
     """Resolve a backend request to a concrete backend name.
 
-    Precedence: ``backend`` argument > :func:`set_default_mpi_backend`
-    > :data:`MPI_BACKEND_ENV` > ``"auto"``.  Requesting
-    ``"processes"`` explicitly on a host that cannot fork raises;
-    ``"auto"`` silently degrades to ``"threads"``.
+    ``None`` means ``"auto"``.  Requesting ``"processes"`` explicitly on
+    a host that cannot fork raises; ``"auto"`` silently degrades to
+    ``"threads"``.
     """
-    name = backend if backend is not None else default_mpi_backend_name()
-    name = str(name).strip().lower()
+    name = "auto" if backend is None else str(backend).strip().lower()
     if name == "auto":
         return _auto_backend(size)
     if name not in MPI_BACKENDS:
@@ -169,38 +135,6 @@ class SPMDResult:
     trace: list | None = None
 
 
-def _join_with_abort_grace(world: World, threads: list) -> None:
-    """Join rank threads, but never indefinitely once the run failed.
-
-    A healthy world is joined without limit (legitimate long compute
-    must finish).  Once the world aborts, stragglers get a bounded
-    grace window — min of the world timeout and
-    :data:`~repro.mpi.world.ABORT_GRACE_CAP` — after which the world is
-    invalidated and the (daemon) threads are abandoned: their next
-    communication attempt raises instead of touching stale state.
-    """
-    grace = min(max(world.timeout, 0.1), ABORT_GRACE_CAP)
-    abort_mark: float | None = None
-    while True:
-        alive = [t for t in threads if t.is_alive()]
-        if not alive:
-            return
-        alive[0].join(timeout=0.05)
-        with world.cond:
-            aborted = world.abort_exc is not None
-        if not aborted:
-            abort_mark = None
-            continue
-        now = time.monotonic()
-        if abort_mark is None:
-            abort_mark = now
-        elif now - abort_mark > grace:
-            world.invalidate(
-                "run abandoned with rank threads still alive after the "
-                "abort grace period")
-            return
-
-
 def run_spmd(size: int, fn, *args, cluster=None, timeout: float = 120.0,
              collective_algorithm: str = "flat", trace: bool = False,
              backend: str | None = None, **kwargs) -> SPMDResult:
@@ -222,17 +156,17 @@ def run_spmd(size: int, fn, *args, cluster=None, timeout: float = 120.0,
     collective_algorithm:
         ``"flat"`` (paper's model, default) or ``"tree"``.
     backend:
-        ``"threads"``, ``"processes"`` or ``"auto"``; ``None`` defers
-        to :func:`set_default_mpi_backend`, then
-        :data:`MPI_BACKEND_ENV`, then ``"auto"``.  Model accounting is
-        identical across backends; only wall-time differs.
+        ``"threads"``, ``"processes"`` or ``"auto"`` (``None`` means
+        ``"auto"``).  Model accounting is identical across backends;
+        only wall-time differs.
 
     Raises
     ------
     RankFailedError
         If any rank program raised; carries per-rank exceptions.
     DeadlockError
-        If every live rank blocked with no deliverable message.
+        If every live rank blocked in a collective that cannot
+        complete.
     """
     if cluster is not None:
         if size in (0, None):
@@ -282,7 +216,7 @@ def run_spmd(size: int, fn, *args, cluster=None, timeout: float = 120.0,
                        for r in range(size)]
             for t in threads:
                 t.start()
-            _join_with_abort_grace(world, threads)
+            join_with_abort_grace(world, threads)
     wall = time.perf_counter() - t0
 
     if world.failures:

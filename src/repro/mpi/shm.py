@@ -39,44 +39,26 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 __all__ = [
-    "DEFAULT_SHM_THRESHOLD_BYTES",
-    "SHM_THRESHOLD_ENV",
+    "SHM_THRESHOLD_BYTES",
     "SegmentRegistry",
     "ShmPayload",
     "decode_payload",
     "encode_payload",
     "export_array",
     "map_array",
-    "shm_threshold_bytes",
     "sweep_orphans",
     "unlink_quiet",
 ]
-
-#: Environment override for the shm/pipe payload cutover (bytes).
-SHM_THRESHOLD_ENV = "REPRO_SHM_THRESHOLD"
 
 #: Arrays at or above this many bytes travel via shared memory; smaller
 #: ones ride the pipe inside the pickled control message.  64 KiB sits
 #: above the pipe's atomic-write sweet spot and below any panel the
 #: encode paths exchange.
-DEFAULT_SHM_THRESHOLD_BYTES = 1 << 16
+SHM_THRESHOLD_BYTES = 1 << 16
 
 #: Containers the payload codec recurses into (descriptors can appear
 #: anywhere inside one bcast/gather value, e.g. ``(atoms, idx)``).
 _MAX_ENCODE_DEPTH = 4
-
-
-def shm_threshold_bytes() -> int:
-    """The active shm cutover, honouring :data:`SHM_THRESHOLD_ENV`."""
-    raw = os.environ.get(SHM_THRESHOLD_ENV, "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return DEFAULT_SHM_THRESHOLD_BYTES
-        if value >= 0:
-            return value
-    return DEFAULT_SHM_THRESHOLD_BYTES
 
 
 @dataclass(frozen=True)
@@ -210,30 +192,26 @@ def sweep_orphans(prefix: str) -> int:
 # ----------------------------------------------------------------------
 # The payload codec used by both ends of the RPC pipe
 # ----------------------------------------------------------------------
-def encode_payload(value, namer, threshold: int | None = None,
-                   _depth: int = 0):
+def encode_payload(value, namer, _depth: int = 0):
     """Replace large ndarrays inside ``value`` with shm descriptors.
 
     ``namer()`` must return a fresh globally-unique segment name per
-    call.  Containers (tuple/list/dict) are walked up to a small fixed
-    depth — deeper or exotic structures simply ride the pipe pickled,
-    which is always correct, just slower.
+    call.  Arrays of at least :data:`SHM_THRESHOLD_BYTES` move; smaller
+    ones stay inline.  Containers (tuple/list/dict) are walked up to a
+    small fixed depth — deeper or exotic structures simply ride the pipe
+    pickled, which is always correct, just slower.
     """
-    if threshold is None:
-        threshold = shm_threshold_bytes()
     if isinstance(value, np.ndarray) and value.dtype != object \
-            and value.nbytes >= threshold:
+            and value.nbytes >= SHM_THRESHOLD_BYTES:
         return export_array(value, namer())
     if _depth >= _MAX_ENCODE_DEPTH:
         return value
     if isinstance(value, tuple):
-        return tuple(encode_payload(v, namer, threshold, _depth + 1)
-                     for v in value)
+        return tuple(encode_payload(v, namer, _depth + 1) for v in value)
     if isinstance(value, list):
-        return [encode_payload(v, namer, threshold, _depth + 1)
-                for v in value]
+        return [encode_payload(v, namer, _depth + 1) for v in value]
     if isinstance(value, dict):
-        return {k: encode_payload(v, namer, threshold, _depth + 1)
+        return {k: encode_payload(v, namer, _depth + 1)
                 for k, v in value.items()}
     return value
 
@@ -243,8 +221,8 @@ def _canonical_dtype(arr: np.ndarray) -> np.ndarray:
 
     Unpickling an ndarray rebuilds its dtype as a *fresh* instance, not
     numpy's cached singleton.  That is invisible to computation but not
-    to re-pickling: the traffic ledger charges lowercase messages by
-    pickle size, and pickle memoises dtypes by identity — a payload
+    to re-pickling: the traffic ledger charges a non-array payload by
+    its pickle size, and pickle memoises dtypes by identity — a payload
     whose arrays stopped sharing one ``int64`` instance pickles a few
     bytes larger than the same payload on the thread backend.  Restoring
     the singleton keeps word counts backend-independent.

@@ -1,4 +1,4 @@
-"""Shared state of one SPMD run: mailboxes, collective slots, clocks.
+"""Shared state of one SPMD run: collective slots, clocks, traffic.
 
 A single condition variable guards all shared state.  Coarse locking is
 deliberate: the CPython GIL serialises bookkeeping anyway, rank programs
@@ -9,7 +9,7 @@ the deadlock detector trivial to reason about.
 from __future__ import annotations
 
 import threading
-from collections import deque
+import time
 
 from repro.errors import DeadlockError, MPIEmulatorError
 from repro.mpi.counters import TrafficLedger
@@ -21,19 +21,6 @@ from repro.platform.clock import VirtualClock
 #: rank; this cap only limits how long a rank wedged in pure user code
 #: can delay teardown of an already-failed run.
 ABORT_GRACE_CAP = 5.0
-
-
-class Message:
-    """One in-flight point-to-point message."""
-
-    __slots__ = ("payload", "words", "arrival_time", "is_buffer")
-
-    def __init__(self, payload, words: int, arrival_time: float,
-                 is_buffer: bool) -> None:
-        self.payload = payload
-        self.words = words
-        self.arrival_time = arrival_time
-        self.is_buffer = is_buffer
 
 
 class CollectiveSlot:
@@ -72,11 +59,8 @@ class World:
         #: optional event trace: dicts with op/ranks/start/end (sim time)
         self.trace: list | None = [] if trace else None
         self.cond = threading.Condition()
-        # key: (src_world_rank, dst_world_rank, comm_id, tag)
-        self.mailboxes: dict[tuple[int, int, int, int], deque] = {}
-        # key: (comm_id, sequence)
-        self.collectives: dict[tuple[int, int], CollectiveSlot] = {}
-        self.next_comm_id = 1  # 0 is the world communicator
+        # key: collective sequence number
+        self.collectives: dict[int, CollectiveSlot] = {}
         self.clocks = [VirtualClock() for _ in range(size)]
         self.traffic = TrafficLedger()
         self.alive = size
@@ -115,8 +99,8 @@ class World:
 
         A timed-out or aborted run can leave rank programs wedged in
         user code; once the launcher stops waiting for them the world is
-        stale, and any late send/recv/collective from a straggler must
-        fail fast instead of depositing into dead mailboxes.  Safe to
+        stale, and any late collective from a straggler must fail fast
+        instead of joining a rendezvous nobody else will reach.  Safe to
         call multiple times; takes the condition itself.
         """
         with self.cond:
@@ -139,7 +123,6 @@ class World:
         * the world was aborted by another rank's exception.
         Returns ``predicate()``'s truthy value.
         """
-        import time
         deadline = time.monotonic() + self.timeout
         stagnant_since: float | None = None
         progress_mark = self.progress
@@ -174,47 +157,6 @@ class World:
         finally:
             self.blocked -= 1
 
-    # ------------------------------------------------------------------
-    # mailboxes (call with self.cond held)
-    # ------------------------------------------------------------------
-    def post_message(self, src: int, dst: int, comm_id: int, tag: int,
-                     msg: Message) -> None:
-        """Deposit a message; wakes any waiting receiver."""
-        self.mailboxes.setdefault((src, dst, comm_id, tag),
-                                  deque()).append(msg)
-        self.progress += 1
-        self.cond.notify_all()
-
-    def find_message(self, dst: int, source: int, comm_id: int, tag: int):
-        """Locate (without removing) the first matching mailbox entry.
-
-        ``source``/``tag`` may be wildcards (< 0); messages only ever
-        match within their own communicator.  Wildcards are resolved
-        deterministically: lowest source first, then lowest tag, then
-        FIFO within the queue.
-        """
-        candidates = []
-        for (s, d, cid, t), queue in self.mailboxes.items():
-            if d != dst or cid != comm_id or not queue:
-                continue
-            if source >= 0 and s != source:
-                continue
-            if tag >= 0 and t != tag:
-                continue
-            candidates.append((s, t))
-        if not candidates:
-            return None
-        s, t = min(candidates)
-        return (s, dst, comm_id, t)
-
-    def pop_message(self, key) -> Message:
-        """Remove and return the head message of a mailbox key."""
-        queue = self.mailboxes[key]
-        msg = queue.popleft()
-        if not queue:
-            del self.mailboxes[key]
-        return msg
-
     def record_event(self, op: str, ranks, start: float, end: float,
                      words: int = 0) -> None:
         """Append a trace event (no-op unless tracing; lock held)."""
@@ -222,3 +164,36 @@ class World:
             self.trace.append({"op": op, "ranks": tuple(ranks),
                                "start": start, "end": end,
                                "words": int(words)})
+
+
+def join_with_abort_grace(world: World, threads: list) -> None:
+    """Join the run's threads, but never indefinitely once it failed.
+
+    ``threads`` are the rank threads (thread backend) or the proxy
+    threads (process backend).  A healthy world is joined without limit
+    (legitimate long compute must finish).  Once the world aborts,
+    stragglers get a bounded grace window — min of the world timeout and
+    :data:`ABORT_GRACE_CAP` — after which the world is invalidated and
+    the launcher stops waiting: an abandoned rank's next collective
+    raises instead of touching stale state, and the process backend
+    terminates its rank processes.
+    """
+    grace = min(max(world.timeout, 0.1), ABORT_GRACE_CAP)
+    abort_mark: float | None = None
+    while True:
+        alive = [t for t in threads if t.is_alive()]
+        if not alive:
+            return
+        alive[0].join(timeout=0.05)
+        with world.cond:
+            aborted = world.abort_exc is not None
+        if not aborted:
+            abort_mark = None
+            continue
+        now = time.monotonic()
+        if abort_mark is None:
+            abort_mark = now
+        elif now - abort_mark > grace:
+            world.invalidate("run abandoned with ranks still alive after "
+                             "the abort grace period")
+            return

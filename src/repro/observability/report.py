@@ -32,9 +32,6 @@ __all__ = ["RunReport", "SCHEMA", "collect_report", "record_spmd_run"]
 #: Schema identifier embedded in every report (bump on layout changes).
 SCHEMA = "repro.run_report/v1"
 
-#: Traffic ops that are point-to-point rather than collective.
-_P2P_OPS = frozenset({"send"})
-
 _SPMD_LOCK = threading.Lock()
 
 
@@ -46,8 +43,6 @@ def _empty_spmd() -> dict:
         "simulated_energy": 0.0,
         "total_flops": 0,
         "wall_time": 0.0,
-        "words_sent": 0,
-        "messages_sent": 0,
     }
 
 
@@ -83,9 +78,6 @@ def record_spmd_run(result) -> None:
         _SPMD["simulated_energy"] += result.simulated_energy
         _SPMD["total_flops"] += result.total_flops
         _SPMD["wall_time"] += result.wall_time
-        for clock in result.clocks:
-            _SPMD["words_sent"] += clock.get("words_sent", 0)
-            _SPMD["messages_sent"] += clock.get("messages_sent", 0)
         for op, tally in result.traffic.snapshot().items():
             agg = _TRAFFIC.setdefault(
                 op, {"calls": 0, "payload_words": 0, "wire_words": 0})
@@ -93,8 +85,7 @@ def record_spmd_run(result) -> None:
             agg["payload_words"] += tally.payload_words
             agg["wire_words"] += tally.wire_words
             wire_words += tally.wire_words
-            if op not in _P2P_OPS:
-                collective_words += tally.payload_words
+            collective_words += tally.payload_words
     REGISTRY.inc("mpi.runs")
     REGISTRY.inc("mpi.collective.words", collective_words)
     REGISTRY.inc("mpi.wire.words", wire_words)

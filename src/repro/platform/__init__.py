@@ -10,7 +10,7 @@ provides the synthetic equivalent:
 * :class:`ClusterConfig` — a ``nodes × cores_per_node`` topology over a
   machine spec, with intra- vs inter-node link selection;
 * :class:`VirtualClock` — per-rank simulated time and energy;
-* cost helpers for point-to-point and collective operations;
+* cost helpers for collective operations;
 * calibration of ``R_bf^time`` / ``R_bf^energy`` from a spec;
 * presets matching the paper's four platform shapes.
 """
@@ -19,8 +19,6 @@ from repro.platform.machine import MachineSpec
 from repro.platform.cluster import ClusterConfig
 from repro.platform.clock import VirtualClock
 from repro.platform.cost import (
-    p2p_time,
-    p2p_energy,
     collective_time,
     collective_energy,
     COLLECTIVE_ALGORITHMS,
@@ -37,8 +35,6 @@ __all__ = [
     "MachineSpec",
     "ClusterConfig",
     "VirtualClock",
-    "p2p_time",
-    "p2p_energy",
     "collective_time",
     "collective_energy",
     "COLLECTIVE_ALGORITHMS",

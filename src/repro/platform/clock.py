@@ -14,14 +14,12 @@ from repro.errors import PlatformError
 class VirtualClock:
     """Simulated time (seconds) and energy (joules) of one rank."""
 
-    __slots__ = ("time", "energy", "flops", "words_sent", "messages_sent")
+    __slots__ = ("time", "energy", "flops")
 
     def __init__(self) -> None:
         self.time: float = 0.0
         self.energy: float = 0.0
         self.flops: int = 0
-        self.words_sent: int = 0
-        self.messages_sent: int = 0
 
     def advance(self, seconds: float, joules: float = 0.0) -> None:
         """Move the clock forward; time must not run backwards."""
@@ -48,19 +46,12 @@ class VirtualClock:
         self.flops += int(flops)
         self.advance(machine.compute_time(flops), machine.compute_energy(flops))
 
-    def record_traffic(self, words: int, messages: int = 1) -> None:
-        """Tally outbound traffic (volume accounting only)."""
-        self.words_sent += int(words)
-        self.messages_sent += int(messages)
-
     def snapshot(self) -> dict:
         """Plain-dict view for reports."""
         return {
             "time": self.time,
             "energy": self.energy,
             "flops": self.flops,
-            "words_sent": self.words_sent,
-            "messages_sent": self.messages_sent,
         }
 
     def __repr__(self) -> str:

@@ -1,4 +1,4 @@
-"""Communication cost models (α-β) for point-to-point and collectives.
+"""Communication cost models (α-β) for rooted collectives.
 
 Two collective algorithms are modelled:
 
@@ -41,25 +41,6 @@ def _link_params(cluster: ClusterConfig, a: int, b: int):
                 mb.word_energy(inter_node=inter)))
 
 
-def p2p_time(cluster: ClusterConfig, src: int, dst: int, words: int) -> float:
-    """Seconds to move ``words`` words from ``src`` to ``dst``."""
-    if words < 0:
-        raise PlatformError(f"words must be >= 0, got {words}")
-    if src == dst:
-        return 0.0
-    alpha, beta, _ = _link_params(cluster, src, dst)
-    return alpha + words * beta
-
-
-def p2p_energy(cluster: ClusterConfig, src: int, dst: int, words: int) -> float:
-    """Joules to move ``words`` words from ``src`` to ``dst``."""
-    if words < 0:
-        raise PlatformError(f"words must be >= 0, got {words}")
-    if src == dst:
-        return 0.0
-    return words * _link_params(cluster, src, dst)[2]
-
-
 def _worst_pair_params(cluster: ClusterConfig, root: int,
                        participants: Sequence[int]):
     """(latency, word_time, word_energy) of the slowest root↔rank link."""
@@ -84,8 +65,8 @@ def collective_time(cluster: ClusterConfig, root: int,
     """Seconds for a rooted collective (bcast/reduce/gather-shaped).
 
     ``words`` is the per-participant message size in words.  For an
-    *all*-flavoured collective (allreduce, allgather) model it as a
-    reduce followed by a bcast — i.e. call this twice.
+    *all*-flavoured collective (allreduce) model it as a reduce
+    followed by a bcast — i.e. call this twice.
     """
     if algorithm not in COLLECTIVE_ALGORITHMS:
         raise PlatformError(

@@ -1,7 +1,7 @@
 """Text rendering of simulated execution traces.
 
-``run_spmd(..., trace=True)`` records every compute segment, message
-and collective with simulated start/end times; this module renders the
+``run_spmd(..., trace=True)`` records every compute segment and
+collective with simulated start/end times; this module renders the
 trace as a per-rank ASCII Gantt chart — the quickest way to *see* why
 Algorithm 2 is communication-bound on one platform and compute-bound on
 another.
@@ -15,16 +15,10 @@ from repro.errors import ValidationError
 
 _GLYPHS = {
     "compute": "#",
-    "send": ">",
     "bcast": "B",
     "reduce": "R",
     "allreduce": "A",
-    "allgather": "G",
     "gather": "g",
-    "scatter": "s",
-    "alltoall": "X",
-    "reduce_scatter": "r",
-    "barrier": "|",
 }
 
 
@@ -44,9 +38,9 @@ def render_timeline(trace: Sequence[dict], n_ranks: int, *,
     """ASCII Gantt chart: one row per rank, simulated time left→right.
 
     Compute segments draw ``#`` on their rank; collectives draw their
-    glyph across every participating rank; point-to-point sends draw
-    ``>`` on the sender.  Overlaps keep the latest glyph (collectives
-    are drawn after compute so synchronisation points stay visible).
+    glyph across every participating rank.  Overlaps keep the latest
+    glyph (collectives are drawn after compute so synchronisation points
+    stay visible).
     """
     if trace is None:
         raise ValidationError("run with trace=True to collect a trace")

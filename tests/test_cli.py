@@ -1,9 +1,12 @@
 """CLI tests (invoked in-process through repro.cli.main)."""
 
+import argparse
+import re
+
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core import load_transform
 
 
@@ -244,20 +247,14 @@ class TestMpiBackendAndStoreDistributed:
                      "--chunk-width", "128"]) == 0
         return str(tmp_path / "s.store")
 
-    def test_mpi_backend_flag_reported(self, tmp_path, capsys):
+    def test_mpi_backend_reported(self, tmp_path, capsys):
+        """The backend ``auto`` picked for the run is printed."""
         assert main(["transform", "--dataset", "salina", "--n", "128",
                      "--size", "16", "--distributed",
-                     "--platform", "1x4", "--mpi-backend", "threads",
+                     "--platform", "1x4",
                      "--out", str(tmp_path / "t.npz")]) == 0
-        assert "mpi backend: threads" in capsys.readouterr().out
-
-    def test_mpi_backend_default_cleared_after_run(self, tmp_path):
-        from repro.mpi import default_mpi_backend_name
-        assert main(["transform", "--dataset", "salina", "--n", "128",
-                     "--size", "16", "--distributed",
-                     "--platform", "1x4", "--mpi-backend", "threads",
-                     "--out", str(tmp_path / "t.npz")]) == 0
-        assert default_mpi_backend_name() == "auto"
+        out = capsys.readouterr().out
+        assert re.search(r"\(mpi backend: (threads|processes)\)", out)
 
     def test_store_distributed_matches_streamed(self, tmp_path):
         """--distributed now composes with --store: the rank-sharded
@@ -265,7 +262,7 @@ class TestMpiBackendAndStoreDistributed:
         store = self._store(tmp_path)
         assert main(["transform", "--store", store, "--size", "24",
                      "--eps", "0.2", "--distributed",
-                     "--platform", "1x4", "--mpi-backend", "threads",
+                     "--platform", "1x4",
                      "--out", str(tmp_path / "dist.npz")]) == 0
         assert main(["transform", "--store", store, "--size", "24",
                      "--eps", "0.2",
@@ -289,7 +286,11 @@ class TestMpiBackendAndStoreDistributed:
                      "--out", str(tmp_path / "t.npz")]) == 1
         assert "cannot be combined" in capsys.readouterr().err
 
-    def test_unknown_mpi_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["transform", "--dataset", "salina", "--size", "8",
-                  "--mpi-backend", "fibers"])
+    def test_no_command_takes_mpi_backend(self):
+        """The SPMD backend is chosen from the host, never by a flag."""
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        for name, sub in commands.choices.items():
+            options = {o for a in sub._actions for o in a.option_strings}
+            assert "--mpi-backend" not in options, name

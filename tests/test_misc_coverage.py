@@ -1,5 +1,5 @@
 """Coverage for smaller paths: subset discrepancy, tree collectives at
-runtime, CLI error paths, timeline p2p glyphs."""
+runtime, CLI error paths."""
 
 import numpy as np
 import pytest
@@ -68,21 +68,3 @@ class TestCliErrorPaths:
         assert main(["pca", "--dataset", "salina", "--n", "64",
                      "--k", "500"]) == 1
         assert "error:" in capsys.readouterr().err
-
-
-class TestTimelineP2P:
-    def test_send_glyph_on_sender_row(self):
-        from repro.utils import render_timeline
-        cluster = platform_by_name("2x8")
-
-        def prog(comm):
-            if comm.Get_rank() == 0:
-                comm.Send(np.zeros(5000), dest=15)
-            elif comm.Get_rank() == 15:
-                buf = np.empty(5000)
-                comm.Recv(buf, source=0)
-        res = run_spmd(0, prog, cluster=cluster, trace=True)
-        art = render_timeline(res.trace, 16, width=50)
-        sender_row = art.splitlines()[1]
-        assert ">" in sender_row
-

@@ -19,12 +19,12 @@ needs_fork = pytest.mark.skipif(
 
 class TestFailurePropagation:
     def test_failure_wakes_blocked_receivers(self):
-        """A rank crash must unblock peers stuck in recv, and the crash
-        — not a deadlock — must be reported."""
+        """A root crash must unblock peers waiting to receive its bcast,
+        and the crash — not a deadlock — must be reported."""
         def prog(comm):
             if comm.Get_rank() == 0:
                 raise RuntimeError("dies before sending")
-            comm.recv(source=0)
+            comm.bcast(None, root=0)
         with pytest.raises(RankFailedError) as exc_info:
             run_spmd(3, prog, timeout=10)
         assert isinstance(exc_info.value.failures[0], RuntimeError)
@@ -32,21 +32,21 @@ class TestFailurePropagation:
     def test_failure_wakes_blocked_collective(self):
         def prog(comm):
             if comm.Get_rank() == 1:
-                raise ValueError("skips the barrier")
-            comm.barrier()
+                raise ValueError("skips the allreduce")
+            comm.allreduce(1)
         with pytest.raises(RankFailedError):
             run_spmd(4, prog, timeout=10)
 
-    def test_failure_inside_reduction_callable(self):
-        """A user-supplied op that raises surfaces as a rank failure."""
-        def bad_op(a, b):
-            raise ArithmeticError("bad op")
-
+    @pytest.mark.parametrize("backend", [
+        "threads", pytest.param("processes", marks=needs_fork)])
+    def test_failure_inside_reduction(self, backend):
+        """A reduction that raises (arrays of mismatched shapes) surfaces
+        as a rank failure on either backend."""
         def prog(comm):
-            comm.allreduce(comm.Get_rank(), op=bad_op)
+            comm.allreduce(np.ones(comm.Get_rank() + 2))
         with pytest.raises(RankFailedError) as exc_info:
-            run_spmd(3, prog, timeout=10)
-        assert any(isinstance(e, ArithmeticError)
+            run_spmd(3, prog, timeout=10, backend=backend)
+        assert any(isinstance(e, ValueError)
                    for e in exc_info.value.failures.values())
 
     def test_late_failure_after_successful_collectives(self):
@@ -55,7 +55,7 @@ class TestFailurePropagation:
                 comm.allreduce(1)
             if comm.Get_rank() == 2:
                 raise KeyError("late")
-            comm.barrier()
+            comm.allreduce(1)
         with pytest.raises(RankFailedError):
             run_spmd(3, prog, timeout=10)
 
@@ -64,7 +64,7 @@ class TestFailurePropagation:
         def failing(comm):
             if comm.Get_rank() == 0:
                 raise RuntimeError("x")
-            comm.barrier()
+            comm.allreduce(1)
         with pytest.raises(RankFailedError):
             run_spmd(2, failing, timeout=10)
         res = run_spmd(2, lambda comm: comm.allreduce(1))
@@ -72,19 +72,12 @@ class TestFailurePropagation:
 
 
 class TestDeadlockVariants:
-    def test_cyclic_blocking_recv(self):
-        """Everyone receives from the left, nobody ever sends."""
+    def test_mismatched_collective_counts(self):
+        """Ranks waiting in a collective that a peer skipped deadlock."""
         def prog(comm):
-            left = (comm.Get_rank() - 1) % comm.Get_size()
-            comm.recv(source=left)
-        with pytest.raises(DeadlockError):
-            run_spmd(3, prog, timeout=5)
-
-    def test_mismatched_barrier_counts(self):
-        def prog(comm):
-            comm.barrier()
+            comm.allreduce(1)
             if comm.Get_rank() != 0:
-                comm.barrier()  # rank 0 never joins
+                comm.allreduce(1)  # rank 0 never joins
         with pytest.raises(DeadlockError):
             run_spmd(3, prog, timeout=5)
 
@@ -94,9 +87,9 @@ class TestDeadlockVariants:
             rank, size = comm.Get_rank(), comm.Get_size()
             total = 0
             for round_ in range(30):
-                dest = (rank + 1) % size
-                comm.send(round_, dest=dest)
-                total += comm.recv(source=(rank - 1) % size)
+                root = round_ % size
+                total += comm.bcast(round_ if rank == root else None,
+                                    root=root)
             return total
         res = run_spmd(4, prog, timeout=30)
         assert res.returns == [sum(range(30))] * 4
@@ -105,18 +98,18 @@ class TestDeadlockVariants:
 class TestTimeoutTeardown:
     def test_wedged_rank_does_not_stall_teardown(self):
         """A rank stuck in user code past the abort grace must not keep
-        ``run_spmd`` from returning, and its late send must raise
-        against the invalidated world instead of silently depositing."""
+        ``run_spmd`` from returning, and its late collective must raise
+        against the invalidated world instead of joining it."""
         release = threading.Event()
         late: list = []
 
         def prog(comm):
             if comm.Get_rank() == 0:
-                comm.recv(source=1)  # never satisfied -> deadlock
+                comm.allreduce(1)  # rank 1 never joins -> timeout
             else:
                 release.wait(20.0)  # wedged well past timeout + grace
                 try:
-                    comm.send(1, dest=0)
+                    comm.allreduce(1)
                 except MPIEmulatorError as exc:
                     late.append(exc)
                     raise
@@ -131,7 +124,7 @@ class TestTimeoutTeardown:
         deadline = time.monotonic() + 5.0
         while not late and time.monotonic() < deadline:
             time.sleep(0.02)
-        assert late, "late send did not raise against the dead world"
+        assert late, "late allreduce did not raise against the dead world"
         assert isinstance(late[0], MPIEmulatorError)
 
     @needs_fork
@@ -140,7 +133,7 @@ class TestTimeoutTeardown:
         the grace window rather than left running."""
         def prog(comm):
             if comm.Get_rank() == 0:
-                comm.recv(source=1)  # never satisfied -> deadlock
+                comm.allreduce(1)  # rank 1 never joins -> timeout
             else:
                 time.sleep(30.0)
 
@@ -198,18 +191,15 @@ class TestStress:
         expected = 10 * sum(range(32))
         assert all(r == expected for r in res.returns)
 
-    def test_interleaved_p2p_and_collectives(self):
+    def test_interleaved_collectives(self):
         def prog(comm):
-            rank, size = comm.Get_rank(), comm.Get_size()
+            rank = comm.Get_rank()
             for i in range(5):
-                if rank == 0:
-                    for dst in range(1, size):
-                        comm.Send(np.full(4, float(i)), dest=dst, tag=i)
-                else:
-                    buf = np.empty(4)
-                    comm.Recv(buf, source=0, tag=i)
-                    assert buf[0] == float(i)
-                comm.barrier()
+                buf = comm.bcast(np.full(4, float(i)) if rank == 0
+                                 else None, root=0)
+                assert buf[0] == float(i)
+                comm.reduce(buf, root=i % comm.Get_size())
+                comm.gather(rank, root=0)
             return comm.allreduce(1)
         res = run_spmd(6, prog, timeout=30)
         assert res.returns == [6] * 6

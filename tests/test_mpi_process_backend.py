@@ -4,37 +4,37 @@ The process backend's contract is *accounting identity*: any rank
 program produces the same returns, the same traffic-ledger word counts,
 the same virtual-clock totals, and (for the store-backed distributed
 transform) bit-identical coefficients, whichever backend executes it.
-These tests pin that contract, plus the backend-resolution precedence,
-the shared-memory payload codec, and the store's deterministic shard
-plan.
+These tests pin that contract, plus backend resolution, the
+shared-memory payload codec, and the process communicator's protocol.
 """
 
 import glob
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import observability as obs
-from repro.errors import MPIEmulatorError
-from repro.mpi import (
-    MPI_BACKEND_ENV,
-    default_mpi_backend_name,
-    resolve_mpi_backend,
-    run_spmd,
-    set_default_mpi_backend,
-)
+from repro.errors import MPIEmulatorError, RankFailedError
+from repro.mpi import Communicator, resolve_mpi_backend, run_spmd
+from repro.mpi.process_world import _ALLOWED_METHODS, ProcessCommunicator
 from repro.mpi.shm import (
+    SHM_THRESHOLD_BYTES,
     SegmentRegistry,
     ShmPayload,
     decode_payload,
     encode_payload,
     export_array,
     map_array,
-    shm_threshold_bytes,
     sweep_orphans,
 )
+from repro.mpi.world import World
 from repro.platform.presets import platform_by_name
 
 needs_fork = pytest.mark.skipif(
@@ -42,44 +42,20 @@ needs_fork = pytest.mark.skipif(
     reason="process backend requires the fork start method")
 
 
-@pytest.fixture(autouse=True)
-def _clear_backend_default():
-    yield
-    set_default_mpi_backend(None)
-
-
 # ----------------------------------------------------------------------
-# Backend resolution precedence
+# Backend resolution
 # ----------------------------------------------------------------------
 class TestBackendResolution:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(MPI_BACKEND_ENV, raising=False)
-        assert default_mpi_backend_name() == "auto"
-
-    def test_env_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv(MPI_BACKEND_ENV, "threads")
-        assert default_mpi_backend_name() == "threads"
-        assert resolve_mpi_backend(None, size=4) == "threads"
-
-    def test_set_default_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(MPI_BACKEND_ENV, "threads")
-        set_default_mpi_backend("processes")
-        assert default_mpi_backend_name() == "processes"
-
-    def test_argument_overrides_everything(self, monkeypatch):
-        monkeypatch.setenv(MPI_BACKEND_ENV, "processes")
-        set_default_mpi_backend("processes")
-        assert resolve_mpi_backend("threads", size=4) == "threads"
+    def test_default_is_auto(self):
+        assert resolve_mpi_backend(None, size=4) \
+            == resolve_mpi_backend("auto", size=4)
 
     def test_unknown_names_rejected(self):
         with pytest.raises(MPIEmulatorError):
             resolve_mpi_backend("mpi4py", size=2)
-        with pytest.raises(MPIEmulatorError):
-            set_default_mpi_backend("fibers")
 
     def test_auto_degrades_to_threads_on_single_core(self, monkeypatch):
         monkeypatch.setattr("repro.mpi.runtime._visible_cores", lambda: 1)
-        monkeypatch.delenv(MPI_BACKEND_ENV, raising=False)
         assert resolve_mpi_backend(None, size=4) == "threads"
 
     def test_auto_is_threads_for_single_rank(self):
@@ -103,6 +79,91 @@ class TestBackendResolution:
         res = run_spmd(2, lambda comm: comm.allreduce(1),
                        backend="processes")
         assert res.backend == "processes"
+
+
+# ----------------------------------------------------------------------
+# The communicator surface and the process backend's protocol
+# ----------------------------------------------------------------------
+#: Every call a rank program may make.
+KEPT_CALLS = {"Get_rank", "Get_size", "charge_flops", "bcast", "reduce",
+              "allreduce", "gather"}
+
+
+class _RecordingLink:
+    """Stands in for a worker's pipe end: records each RPC's name."""
+
+    def __init__(self) -> None:
+        self.methods: list = []
+
+    def call(self, method, args):
+        self.methods.append(method)
+
+
+def _public(obj) -> set:
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+_PERFBENCH_PROBE = """
+import json
+from repro.mpi import resolve_mpi_backend, run_spmd
+res = run_spmd(2, lambda comm: comm.allreduce(comm.Get_rank()))
+print(json.dumps({
+    "resolved": resolve_mpi_backend(None, size=2),
+    "ran": res.backend,
+    "calls": res.traffic.ops["allreduce"].calls,
+    "wire_words": res.traffic.total_wire_words(),
+}))
+"""
+
+
+class TestProtocol:
+    def test_both_communicators_expose_exactly_the_kept_calls(self):
+        assert _public(Communicator(World(2), 0)) == KEPT_CALLS
+        assert _public(ProcessCommunicator(_RecordingLink(), 0, 2)) \
+            == KEPT_CALLS
+
+    def test_allowed_methods_are_the_rpcs_sent(self):
+        link = _RecordingLink()
+        comm = ProcessCommunicator(link, 0, 2)
+        comm.Get_rank()
+        comm.Get_size()
+        comm.charge_flops(10)
+        comm.bcast(1)
+        comm.reduce(1)
+        comm.allreduce(1)
+        comm.gather(1)
+        assert set(link.methods) == _ALLOWED_METHODS
+        assert len(link.methods) == len(_ALLOWED_METHODS)
+
+    @needs_fork
+    def test_proxy_refuses_other_method_names(self):
+        def prog(comm):
+            if comm.Get_rank() == 0:
+                comm._link.call("send", (1, 1))
+        with pytest.raises(RankFailedError) as exc_info:
+            run_spmd(2, prog, backend="processes", timeout=10)
+        err = exc_info.value.failures[0]
+        assert isinstance(err, MPIEmulatorError)
+        assert "'send'" in str(err)
+
+    def test_auto_backend_is_what_perfbench_gates_on(self):
+        """perfbench's fingerprint reads ``resolve_mpi_backend(None,
+        size=2)``, and ``fit_learn_spmd`` gates on the backend a 2-rank
+        run reports and reads its traffic ledger.  A fresh interpreter
+        has one thread, as perfbench's has."""
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PERFBENCH_PROBE],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        forks = "fork" in multiprocessing.get_all_start_methods()
+        expected = ("processes" if forks
+                    and len(os.sched_getaffinity(0)) >= 2 else "threads")
+        assert out["resolved"] == out["ran"] == expected
+        assert out["calls"] == 1
+        assert out["wire_words"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -137,13 +198,13 @@ class TestShmCodec:
         assert enc is small  # untouched, no segment created
 
     def test_large_arrays_use_shm(self):
-        big = np.ones(shm_threshold_bytes() // 8 + 16)
+        big = np.ones(SHM_THRESHOLD_BYTES // 8 + 16)
         enc = encode_payload(big, self._namer())
         assert isinstance(enc, ShmPayload)
         np.testing.assert_array_equal(decode_payload(enc), big)
 
     def test_nested_containers(self):
-        big = np.ones(shm_threshold_bytes() // 8 + 16)
+        big = np.ones(SHM_THRESHOLD_BYTES // 8 + 16)
         value = {"pair": (big, np.arange(3)), "tag": 7}
         enc = encode_payload(value, self._namer())
         assert isinstance(enc["pair"][0], ShmPayload)
@@ -153,7 +214,7 @@ class TestShmCodec:
         assert dec["tag"] == 7
 
     def test_decode_reports_names(self):
-        big = np.zeros(shm_threshold_bytes() // 8 + 16)
+        big = np.zeros(SHM_THRESHOLD_BYTES // 8 + 16)
         enc = encode_payload([big, big + 1], self._namer())
         seen: list = []
         decode_payload(enc, on_name=seen.append)
@@ -186,24 +247,27 @@ class TestShmCodec:
 # Cross-backend accounting parity
 # ----------------------------------------------------------------------
 def _mixed_traffic_program(comm):
-    """Exercises p2p, large-payload bcast, callable ops and subcomms."""
+    """Exercises every kept call: a large-payload bcast, each named op,
+    a nonzero root, object and array gathers, and flop charges."""
     rank, size = comm.Get_rank(), comm.Get_size()
     big = np.full(20_000, float(rank))  # above the shm threshold
     got = comm.bcast(big if rank == 0 else None, root=0)
-    total = comm.allreduce(float(got[0]) + rank,
-                           op=lambda a, b: a + b)
-    if rank == 0:
-        for dst in range(1, size):
-            comm.send({"round": dst}, dest=dst, tag=3)
-    else:
-        total += comm.recv(source=0, tag=3)["round"]
-    sub = comm.Split(color=rank % 2, key=rank)
-    total += sub.allreduce(1)
+    total = comm.allreduce(float(got[0]) + rank, op="sum")
+    total += comm.allreduce(np.arange(3.0) * (rank + 1), op="prod")[2]
+    total += comm.allreduce(rank, op="min")
+    peak = comm.reduce(np.full(5, float(rank)), op="max", root=size - 1)
+    if rank == size - 1:
+        total += float(peak.sum())
+    total += comm.bcast({"round": rank} if rank == 1 else None,
+                        root=1)["round"]
     rows = comm.gather(np.arange(4) + rank, root=0)
+    tags = comm.gather(("rank", rank), root=1)
     comm.charge_flops(1000 * (rank + 1))
-    comm.barrier()
+    total += comm.allreduce(1)
     if rank == 0:
         return total + float(np.sum(rows))
+    if rank == 1:
+        return total + len(tags)
     return total
 
 
@@ -231,28 +295,18 @@ class TestBackendParity:
         assert _snapshot(runs["threads"]) == _snapshot(runs["processes"])
 
     @pytest.mark.parametrize("op", ["allreduce", "reduce", "gather",
-                                    "allgather", "scatter", "alltoall",
-                                    "reduce_scatter"])
+                                    "bcast"])
     def test_each_collective_identical(self, op):
         def prog(comm):
-            rank, size = comm.Get_rank(), comm.Get_size()
+            rank = comm.Get_rank()
             if op == "allreduce":
                 return comm.allreduce(np.arange(6) + rank)
             if op == "reduce":
                 return comm.reduce(rank + 1.5, root=0)
             if op == "gather":
                 return comm.gather((rank, "x" * rank), root=0)
-            if op == "allgather":
-                return comm.allgather(rank * 2)
-            if op == "scatter":
-                chunks = ([list(range(size))] if rank == 0 else None)
-                return comm.scatter(chunks[0] if chunks else None,
-                                    root=0)
-            if op == "alltoall":
-                return comm.alltoall([rank * 10 + j
-                                      for j in range(size)])
-            return comm.reduce_scatter([float(rank + j)
-                                        for j in range(size)])
+            return comm.bcast(("root", [1.5, 2]) if rank == 2 else None,
+                              root=2)
 
         cluster = platform_by_name("1x4")
         base = run_spmd(0, prog, cluster=cluster, backend="threads")

@@ -46,31 +46,6 @@ def test_gather_preserves_order(values):
     assert res.returns[0] == values
 
 
-@settings(max_examples=20, deadline=None)
-@given(VALUES)
-def test_scatter_gather_roundtrip(values):
-    size = len(values)
-
-    def prog(comm):
-        mine = comm.scatter(values if comm.Get_rank() == 0 else None,
-                            root=0)
-        return comm.gather(mine, root=0)
-    res = run_spmd(size, prog)
-    assert res.returns[0] == values
-
-
-@settings(max_examples=20, deadline=None)
-@given(SIZES, st.integers(0, 2**31 - 1))
-def test_alltoall_is_transpose(size, seed):
-    data = np.random.default_rng(seed).integers(0, 100, size=(size, size))
-
-    def prog(comm):
-        return comm.alltoall(data[comm.Get_rank()].tolist())
-    res = run_spmd(size, prog)
-    received = np.array(res.returns)
-    assert np.array_equal(received, data.T)
-
-
 @settings(max_examples=15, deadline=None)
 @given(SIZES, st.integers(0, 5))
 def test_bcast_from_any_root(size, root_raw):

@@ -42,7 +42,7 @@ class TestRunSpmd:
         def prog(comm):
             if comm.Get_rank() == 2:
                 raise ValueError("boom")
-            comm.barrier()
+            comm.allreduce(1)
         with pytest.raises(RankFailedError) as exc_info:
             run_spmd(4, prog)
         assert 2 in exc_info.value.failures
@@ -82,12 +82,11 @@ class TestClocks:
         cluster = platform_by_name("1x4")
 
         def prog(comm):
-            # Unbalanced compute then a barrier-like collective.
+            # Unbalanced compute then a synchronising collective.
             comm.charge_flops(1000 * (comm.Get_rank() + 1))
             comm.allreduce(1.0)
-            return comm.clock.time
         res = run_spmd(0, prog, cluster=cluster)
-        times = res.returns
+        times = [clock["time"] for clock in res.clocks]
         assert max(times) == pytest.approx(min(times))
 
     def test_makespan_is_max_clock(self):
@@ -99,34 +98,8 @@ class TestClocks:
         assert res.simulated_time == pytest.approx(
             10_000 / cluster.machine.flop_rate)
 
-    def test_p2p_advances_receiver_clock(self):
-        cluster = platform_by_name("2x8")
-
-        def prog(comm):
-            if comm.Get_rank() == 0:
-                comm.Send(np.zeros(1000), dest=15)
-            elif comm.Get_rank() == 15:
-                buf = np.empty(1000)
-                comm.Recv(buf, source=0)
-                return comm.clock.time
-            return 0.0
-        res = run_spmd(0, prog, cluster=cluster)
-        m = cluster.machine
-        expected = m.inter_latency + 1000 * (1.0 / m.inter_bw)
-        assert res.returns[15] == pytest.approx(expected, rel=0.01)
-
 
 class TestTraffic:
-    def test_send_words_counted(self):
-        def prog(comm):
-            if comm.Get_rank() == 0:
-                comm.Send(np.zeros(100), dest=1)
-            elif comm.Get_rank() == 1:
-                buf = np.empty(100)
-                comm.Recv(buf, source=0)
-        res = run_spmd(2, prog)
-        assert res.traffic.total_payload_words("send") == 100
-
     def test_reduce_payload_words(self):
         def prog(comm):
             comm.reduce(np.zeros(64), root=0)
@@ -146,8 +119,8 @@ class TestTraffic:
 
     def test_bcast_wire_words(self):
         def prog(comm):
-            comm.Bcast(np.zeros(32) if comm.Get_rank() == 0
-                       else np.empty(32), root=0)
+            comm.bcast(np.zeros(32) if comm.Get_rank() == 0 else None,
+                       root=0)
         res = run_spmd(4, prog)
         tally = res.traffic.snapshot()["bcast"]
         assert tally.payload_words == 32

@@ -12,8 +12,6 @@ from repro.platform import (
     calibrate_from_spec,
     collective_energy,
     collective_time,
-    p2p_energy,
-    p2p_time,
     paper_platforms,
     platform_by_name,
     xeon_x5660_like,
@@ -95,22 +93,24 @@ class TestVirtualClock:
 
     def test_snapshot(self):
         c = VirtualClock()
-        c.record_traffic(10, 2)
-        snap = c.snapshot()
-        assert snap["words_sent"] == 10 and snap["messages_sent"] == 2
+        c.advance(1.5, 2.5)
+        c.flops += 7
+        assert c.snapshot() == {"time": 1.5, "energy": 2.5, "flops": 7}
 
 
 class TestCostFunctions:
-    def test_p2p_intra_vs_inter(self, tiny_cluster):
-        intra = p2p_time(tiny_cluster, 0, 1, 100)
-        inter = p2p_time(tiny_cluster, 0, 2, 100)
+    def test_two_rank_intra_vs_inter(self, tiny_cluster):
+        intra = collective_time(tiny_cluster, 0, [0, 1], 100)
+        inter = collective_time(tiny_cluster, 0, [0, 2], 100)
         assert intra == pytest.approx(1e-6 + 100 * 1e-8)
         assert inter == pytest.approx(2e-6 + 100 * 2e-8)
-        assert p2p_time(tiny_cluster, 1, 1, 100) == 0.0
+        assert collective_time(tiny_cluster, 1, [1], 100) == 0.0
 
-    def test_p2p_energy(self, tiny_cluster):
-        assert p2p_energy(tiny_cluster, 0, 2, 10) == pytest.approx(4e-7)
-        assert p2p_energy(tiny_cluster, 0, 1, 10) == pytest.approx(1e-7)
+    def test_two_rank_energy(self, tiny_cluster):
+        assert collective_energy(tiny_cluster, 0, [0, 2], 10) \
+            == pytest.approx(4e-7)
+        assert collective_energy(tiny_cluster, 0, [0, 1], 10) \
+            == pytest.approx(1e-7)
 
     def test_collective_flat_time(self, tiny_cluster):
         participants = list(range(4))
@@ -140,7 +140,7 @@ class TestCostFunctions:
 
     def test_negative_words(self, tiny_cluster):
         with pytest.raises(PlatformError):
-            p2p_time(tiny_cluster, 0, 1, -5)
+            collective_time(tiny_cluster, 0, [0, 1], -5)
 
 
 class TestCalibration:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import PlatformError
 from repro.mpi import run_spmd
-from repro.platform import ClusterConfig, MachineSpec, calibrate_from_spec, p2p_time
+from repro.platform import ClusterConfig, MachineSpec, calibrate_from_spec, collective_time
 
 
 def _machine(name, flop_rate, bw_scale=1.0):
@@ -62,8 +62,8 @@ class TestConfig:
 class TestCosts:
     def test_link_bottlenecked_by_slow_endpoint(self, fast_slow_cluster):
         # fast<->fast intra link vs fast<->slow inter link.
-        t_fast = p2p_time(fast_slow_cluster, 0, 1, 100)
-        t_mixed = p2p_time(fast_slow_cluster, 0, 2, 100)
+        t_fast = collective_time(fast_slow_cluster, 0, [0, 1], 100)
+        t_mixed = collective_time(fast_slow_cluster, 0, [0, 2], 100)
         # slow node: inter_bw 2.5e7 words/s -> 4e-8 s/word.
         assert t_mixed == pytest.approx(2e-6 + 100 * 4e-8)
         assert t_fast == pytest.approx(1e-6 + 100 * 1e-8)
@@ -79,21 +79,19 @@ class TestExecution:
     def test_slow_node_dominates_makespan(self, fast_slow_cluster):
         def prog(comm):
             comm.charge_flops(1_000_000)
-            return comm.clock.time
         res = run_spmd(0, prog, cluster=fast_slow_cluster)
         # Fast ranks: 0.1 ms; slow ranks: 1 ms.
-        assert res.returns[0] == pytest.approx(1e6 / 1e10)
-        assert res.returns[2] == pytest.approx(1e6 / 1e9)
+        assert res.clocks[0]["time"] == pytest.approx(1e6 / 1e10)
+        assert res.clocks[2]["time"] == pytest.approx(1e6 / 1e9)
         assert res.simulated_time == pytest.approx(1e6 / 1e9)
 
     def test_collective_waits_for_slow_node(self, fast_slow_cluster):
         def prog(comm):
             comm.charge_flops(1_000_000)
             comm.allreduce(1.0)
-            return comm.clock.time
         res = run_spmd(0, prog, cluster=fast_slow_cluster)
         # After the allreduce every clock is past the slow node's compute.
-        assert min(res.returns) >= 1e6 / 1e9
+        assert min(clock["time"] for clock in res.clocks) >= 1e6 / 1e9
 
     def test_gram_update_runs_heterogeneous(self, fast_slow_cluster,
                                             union_data, rng):

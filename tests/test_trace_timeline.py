@@ -15,12 +15,8 @@ def _traced_run():
     def prog(comm):
         comm.charge_flops(100_000 * (comm.Get_rank() + 1))
         comm.allreduce(np.ones(64))
-        if comm.Get_rank() == 0:
-            comm.Send(np.zeros(32), dest=1)
-        elif comm.Get_rank() == 1:
-            buf = np.empty(32)
-            comm.Recv(buf, source=0)
-        comm.barrier()
+        comm.bcast(np.zeros(32) if comm.Get_rank() == 0 else None, root=0)
+        comm.gather(comm.Get_rank(), root=0)
     return run_spmd(0, prog, cluster=cluster, trace=True)
 
 
@@ -34,7 +30,7 @@ class TestTraceCollection:
         res = _traced_run()
         assert res.trace is not None
         ops = {e["op"] for e in res.trace}
-        assert {"compute", "allreduce", "send", "barrier"} <= ops
+        assert {"compute", "allreduce", "bcast", "gather"} <= ops
         starts = [e["start"] for e in res.trace]
         assert starts == sorted(starts)
 
