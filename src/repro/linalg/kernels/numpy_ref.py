@@ -16,6 +16,10 @@ for column:
   converged columns retired from the block.  The per-step interpreter
   cost is paid once per panel instead of once per column.
 
+Both hand their codes back as one :class:`PanelCodes`: padded
+``(n, cap)`` supports and coefficients plus per-column sizes, residuals,
+iteration counts and verdicts, which CSC assembly takes as arrays.
+
 The invariance rule both follow: a column's bits depend only on ``(G,
 its Dᵀa column, ‖a‖²)`` — never on its neighbours, the panel width or
 how many columns are still active.  Every per-column quantity is an
@@ -33,7 +37,8 @@ import math
 
 import numpy as np
 
-__all__ = ["NumpyBackend", "batch_omp_column", "lockstep_columns"]
+__all__ = ["NumpyBackend", "PanelCodes", "batch_omp_column",
+           "lockstep_columns"]
 
 #: A Cholesky pivot at or below this marks the candidate atom as
 #: numerically dependent on the support: it is banned, not selected.
@@ -188,17 +193,81 @@ class _Panel:
         self.fac = fac
 
 
-def _retire(st: _Panel, done: np.ndarray, out: list) -> None:
-    """Write the results of rows ``done`` into ``out``."""
-    supp, coef = st.supp[done], st.coef[done]
-    conv = (st.res[done] <= st.stop[done] + 1e-12 * st.a_sq[done]).tolist()
-    for i, (j, s, res, it, ok) in enumerate(zip(
-            st.ids[done].tolist(), st.size[done].tolist(),
-            st.res[done].tolist(), st.it[done].tolist(), conv)):
-        out[j] = (supp[i, :s], coef[i, :s], res, it, ok)
+class PanelCodes:
+    """The codes of one kernel call, column ``j`` in row ``j``.
+
+    ``support`` ``(n, cap)`` holds each column's atoms in selection
+    order and ``coefficients`` their values; slots ``t ≥ sizes[j]`` are
+    zero padding and ``cap`` is the longest support.  ``res_sq``,
+    ``iterations`` and ``converged`` hold one entry per column.
+    Indexing and iteration give column ``j`` as the ``(support,
+    coefficients, res_sq, iterations, converged)`` tuple of
+    :func:`batch_omp_column`.
+    """
+
+    __slots__ = ("support", "coefficients", "sizes", "res_sq",
+                 "iterations", "converged")
+
+    def __init__(self, n: int) -> None:
+        self.support = np.zeros((n, 0), dtype=np.int64)
+        self.coefficients = np.zeros((n, 0))
+        self.sizes = np.zeros(n, dtype=np.int64)
+        self.res_sq = np.zeros(n)
+        self.iterations = np.zeros(n, dtype=np.int64)
+        self.converged = np.zeros(n, dtype=bool)
+
+    def reserve(self, cap: int) -> None:
+        """Widen the padded arrays to at least ``cap`` slots."""
+        n, old = self.support.shape
+        if cap > old:
+            for name in ("support", "coefficients"):
+                arr = getattr(self, name)
+                wide = np.zeros((n, cap), dtype=arr.dtype)
+                wide[:, :old] = arr
+                setattr(self, name, wide)
+
+    def put(self, j: int, support, coefficients, res_sq, iterations,
+            converged) -> None:
+        """Write one :func:`batch_omp_column` result into row ``j``."""
+        k = support.size
+        self.reserve(k)
+        self.support[j, :k] = support
+        self.coefficients[j, :k] = coefficients
+        self.sizes[j] = k
+        self.res_sq[j] = res_sq
+        self.iterations[j] = iterations
+        self.converged[j] = converged
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __getitem__(self, j):
+        k = self.sizes[j]
+        return (self.support[j, :k], self.coefficients[j, :k],
+                float(self.res_sq[j]), int(self.iterations[j]),
+                bool(self.converged[j]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
-def _advance(gram, gdiag, st: _Panel, budget: int, out: list) -> None:
+def _retire(st: _Panel, done: np.ndarray, out: PanelCodes) -> None:
+    """Write the results of rows ``done`` into their rows of ``out``."""
+    ids, size = st.ids[done], st.size[done]
+    k = int(size.max())
+    out.reserve(k)
+    # Slots past a row's size hold zeros in ``st``, so whole slices copy.
+    out.support[ids, :k] = st.supp[done, :k]
+    out.coefficients[ids, :k] = st.coef[done, :k]
+    out.sizes[ids] = size
+    out.res_sq[ids] = st.res[done]
+    out.iterations[ids] = st.it[done]
+    out.converged[ids] = st.res[done] <= st.stop[done] \
+        + 1e-12 * st.a_sq[done]
+
+
+def _advance(gram, gdiag, st: _Panel, budget: int,
+             out: PanelCodes) -> None:
     """Run the lockstep loop until every column of ``st`` retires."""
     while st.ids.size:
         n = st.ids.size
@@ -350,33 +419,39 @@ def _transpose(panel: np.ndarray) -> np.ndarray:
 
 
 def lockstep_columns(gram, dta_panel, col_sq, eps: float,
-                     max_atoms: int | None) -> list:
+                     max_atoms: int | None) -> PanelCodes:
     """Greedy-code every column of one panel in lockstep.
 
     Same arguments and results as :meth:`NumpyBackend.batch_omp_columns`,
     bit-identical to :func:`batch_omp_column` applied column by column.
     """
+    out = PanelCodes(np.shape(col_sq)[0])
+    _lockstep_into(out, 0, gram, dta_panel, col_sq, eps, max_atoms)
+    return out
+
+
+def _lockstep_into(out: PanelCodes, offset: int, gram, dta_panel, col_sq,
+                   eps: float, max_atoms: int | None) -> None:
+    """Run :func:`lockstep_columns`, writing column ``j`` to row
+    ``offset + j`` of ``out``."""
     gram = np.asarray(gram, dtype=np.float64)
     l = gram.shape[0]
     budget = l if max_atoms is None else min(int(max_atoms), l)
     a_sq = np.array(col_sq, dtype=np.float64)
     n = a_sq.size
     stop = _stop_sq(a_sq, eps)
-    out: list = [None] * n
     live = (a_sq > stop) & (budget > 0) & (a_sq != 0.0)
-    empty_i, empty_f = np.empty(0, dtype=np.int64), np.empty(0)
-    for j in np.flatnonzero(~live).tolist():
-        if a_sq[j] == 0.0:
-            out[j] = (empty_i.copy(), empty_f.copy(), 0.0, 0, True)
-        else:
-            out[j] = (empty_i.copy(), empty_f.copy(), float(a_sq[j]), 0,
-                      bool(a_sq[j] <= stop[j] + 1e-12 * a_sq[j]))
+    # Columns that take no atom: a zero column has converged with
+    # ‖r‖² = 0, any other keeps ‖r‖² = ‖a‖².
+    rows = slice(offset, offset + n)
+    out.res_sq[rows] = np.where(a_sq == 0.0, 0.0, a_sq)
+    out.converged[rows] = (a_sq == 0.0) | (a_sq <= stop + 1e-12 * a_sq)
     ids = np.flatnonzero(live)
     if ids.size == 0:
-        return out
+        return
     m = ids.size
     st = _Panel.__new__(_Panel)
-    st.ids = ids
+    st.ids = ids + offset
     st.dta = _transpose(np.asarray(dta_panel, dtype=np.float64))
     if m < n:
         st.dta = st.dta[ids]
@@ -393,7 +468,6 @@ def lockstep_columns(gram, dta_panel, col_sq, eps: float,
     with np.errstate(invalid="ignore", divide="ignore"):
         _advance(gram, np.ascontiguousarray(np.diagonal(gram)), st, budget,
                  out)
-    return out
 
 
 class NumpyBackend:
@@ -402,29 +476,27 @@ class NumpyBackend:
     name = "numpy"
 
     def batch_omp_columns(self, gram, dta_panel, col_sq, eps: float,
-                          max_atoms: int | None):
+                          max_atoms: int | None) -> PanelCodes:
         """Greedy-code every column of one precomputed panel.
 
         ``gram`` is ``DᵀD`` ``(L, L)``, ``dta_panel`` the panel's ``DᵀA``
         ``(L, k)`` and ``col_sq`` its ``‖a_j‖²`` ``(k,)``; ``eps`` is
         Eq. 1's relative tolerance and ``max_atoms`` an optional cap.
-        Returns one ``(support, coefficients, res_sq, iterations,
-        converged)`` tuple per column, in column order, with the support
-        in selection order (the orchestration layer sorts).
+        Returns the :class:`PanelCodes` of the ``k`` columns, in column
+        order, with each support in selection order (CSC assembly
+        sorts).
         """
         from repro.linalg.omp import ENCODE_BLOCK_COLS
 
         n = dta_panel.shape[1]
-        results = []
+        out = PanelCodes(n)
         for lo in range(0, n, ENCODE_BLOCK_COLS):
             hi = min(lo + ENCODE_BLOCK_COLS, n)
             if hi - lo < LOCKSTEP_MIN_COLS:
-                results.extend(
-                    batch_omp_column(gram, dta_panel[:, j], col_sq[j], eps,
-                                     max_atoms)
-                    for j in range(lo, hi))
+                for j in range(lo, hi):
+                    out.put(j, *batch_omp_column(
+                        gram, dta_panel[:, j], col_sq[j], eps, max_atoms))
             else:
-                results.extend(lockstep_columns(
-                    gram, dta_panel[:, lo:hi], col_sq[lo:hi], eps,
-                    max_atoms))
-        return results
+                _lockstep_into(out, lo, gram, dta_panel[:, lo:hi],
+                               col_sq[lo:hi], eps, max_atoms)
+        return out

@@ -346,17 +346,15 @@ def _encode_range(shared, bounds: tuple[int, int]):
     converged = np.zeros(hi - lo, dtype=bool)
     # Each panel's codes land in C with one bulk append.
     for plo, phi, dta_panel in iter_panel_dta(d, a):
-        results = kernel.batch_omp_columns(
+        codes = kernel.batch_omp_columns(
             gram, dta_panel, col_sq[plo:phi], eps, max_atoms)
-        ok = np.fromiter((r[4] for r in results), dtype=bool,
-                         count=phi - plo)
+        ok = codes.converged
         if strict and not ok.all():
             off = int(np.argmin(ok))
-            raise _strict_failure(eps, l, results[off][2],
+            raise _strict_failure(eps, l, float(codes.res_sq[off]),
                                   float(col_sq[plo + off]))
-        builder.add_columns([r[0] for r in results],
-                            [r[1] for r in results])
-        iterations += sum(r[3] for r in results)
+        builder.add_columns(codes.support, codes.coefficients, codes.sizes)
+        iterations += int(codes.iterations.sum())
         converged[plo:phi] = ok
     return builder.finalize(), iterations, converged
 

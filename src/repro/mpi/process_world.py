@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import DeadlockError, MPIEmulatorError, portable_exc
-from repro.mpi.communicator import Communicator
+from repro.mpi.communicator import Communicator, _resolve_op
 from repro.mpi.shm import (
     SegmentRegistry,
     decode_payload,
@@ -132,10 +132,14 @@ class ProcessCommunicator:
     def bcast(self, obj, root: int = 0):
         return self._link.call("bcast", (obj, root))
 
+    # The op is checked here, before it is pickled: an unknown one
+    # raises the thread backend's ValidationError, not a pickling error.
     def reduce(self, value, op: str = "sum", root: int = 0):
+        _resolve_op(op)
         return self._link.call("reduce", (value, op, root))
 
     def allreduce(self, value, op: str = "sum"):
+        _resolve_op(op)
         return self._link.call("allreduce", (value, op))
 
     def gather(self, value, root: int = 0):

@@ -9,7 +9,7 @@ Sparse Random Projections", PAPERS.md), this module instead
 
 1. reads a *small, chunk-aligned* sample of store columns exactly once
    (a handful of whole chunks — sequential I/O the store serves with
-   one mmap each);
+   one whole-chunk read each);
 2. compresses the rows with a very sparse Achlioptas/Li projection
    ``R ∈ {−√(s/k), 0, +√(s/k)}^{k×M}`` with ``P(±) = 1/(2s)``,
    ``s = √M`` — a JL embedding with ~``M/√M`` non-zeros per row;

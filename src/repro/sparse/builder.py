@@ -4,8 +4,9 @@ ExD (Alg. 1 step 3) produces the coefficient matrix one sparse column at
 a time; the builder appends columns in amortised O(nnz) without
 re-allocating per column (growth doubling), then finalises into an
 immutable :class:`~repro.sparse.csc.CSCMatrix`.  The encode paths append
-a whole panel of columns at once through :func:`stack_columns`: one
-lexsort of the stacked COO triplets instead of a sort per column.
+a whole panel of columns at once with :meth:`ColumnBuilder.add_columns`,
+from padded ``(n, cap)`` arrays: one ``argsort`` along the rows instead
+of a sort per column.
 """
 
 from __future__ import annotations
@@ -14,40 +15,6 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.sparse.csc import CSCMatrix
-
-
-def stack_columns(rows, values, nrows: int):
-    """Stack per-column ``(rows[j], values[j])`` pairs into CSC arrays.
-
-    Returns ``(data, indices, counts)``: the entries of every column in
-    column order with each column's rows ascending, and the number of
-    entries per column.  The COO triplets are ordered by one
-    ``lexsort`` on ``(column, row)``, and the checks of
-    :meth:`ColumnBuilder.add_column` (matching lengths, rows in
-    ``[0, nrows)``, no duplicate row within a column) run on the whole
-    stack at once.
-    """
-    ncols = len(rows)
-    counts = np.fromiter((np.size(r) for r in rows), dtype=np.int64,
-                         count=ncols)
-    if len(values) != ncols or not np.array_equal(
-            counts, np.fromiter((np.size(v) for v in values),
-                                dtype=np.int64, count=ncols)):
-        raise ValidationError("rows and values must be equal-length 1-D")
-    if not counts.any():
-        return np.empty(0), np.empty(0, dtype=np.int64), counts
-    indices = np.concatenate(rows).astype(np.int64, copy=False)
-    data = np.concatenate(values).astype(np.float64, copy=False)
-    if indices.ndim != 1 or data.ndim != 1:
-        raise ValidationError("rows and values must be equal-length 1-D")
-    if indices.min() < 0 or indices.max() >= nrows:
-        raise ValidationError("row index out of range")
-    cols = np.repeat(np.arange(ncols), counts)
-    order = np.lexsort((indices, cols))
-    indices, data = indices[order], data[order]
-    if np.any((indices[1:] == indices[:-1]) & (cols[1:] == cols[:-1])):
-        raise ValidationError("duplicate row index within a column")
-    return data, indices, counts
 
 
 class ColumnBuilder:
@@ -117,15 +84,42 @@ class ColumnBuilder:
         self._nnz += rows.size
         self._indptr.append(self._nnz)
 
-    def add_columns(self, rows, values) -> None:
-        """Append ``len(rows)`` columns at once (see :func:`stack_columns`).
+    def add_columns(self, rows, values, counts) -> None:
+        """Append ``n`` columns at once from padded ``(n, cap)`` arrays.
 
-        Same result as :meth:`add_column` per column; when a check fails
-        nothing is appended.
+        Column ``j`` holds the rows ``rows[j, :counts[j]]`` with values
+        ``values[j, :counts[j]]``; later slots are ignored.  Same result
+        as :meth:`add_column` per column, with the same checks (rows in
+        ``[0, nrows)``, no row twice within a column) plus matching
+        shapes and counts in ``[0, cap]``; when a check fails nothing is
+        appended.
         """
         if self._finalized:
             raise ValidationError("builder already finalized")
-        data, indices, counts = stack_columns(rows, values, self.nrows)
+        rows = np.asarray(rows, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if rows.ndim != 2 or values.shape != rows.shape \
+                or counts.shape != rows.shape[:1]:
+            raise ValidationError(
+                "rows and values must be equal-length (n, cap) arrays, "
+                "with (n,) counts")
+        n, cap = rows.shape
+        if n and (counts.min() < 0 or counts.max() > cap):
+            raise ValidationError(f"column counts must lie in [0, {cap}]")
+        live = np.arange(cap) < counts[:, None]
+        taken = rows[live]
+        if taken.size and (taken.min() < 0 or taken.max() >= self.nrows):
+            raise ValidationError("row index out of range")
+        # Padding sorts after every real row, so each column's entries
+        # are its first counts[j] slots once sorted.
+        keys = np.where(live, rows, self.nrows)
+        order = np.argsort(keys, axis=1)
+        keys = np.take_along_axis(keys, order, axis=1)
+        if np.any((keys[:, 1:] == keys[:, :-1]) & live[:, 1:]):
+            raise ValidationError("duplicate row index within a column")
+        indices = keys[live]
+        data = np.take_along_axis(values, order, axis=1)[live]
         self._grow(self._nnz + indices.size)
         self._data[self._nnz:self._nnz + indices.size] = data
         self._indices[self._nnz:self._nnz + indices.size] = indices

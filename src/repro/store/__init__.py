@@ -5,10 +5,10 @@ assume ``A`` arrives in column blocks and never has to exist as one
 dense in-memory array.  This package supplies that storage layer:
 
 * :class:`~repro.store.column_store.ColumnStore` — an on-disk,
-  memory-mapped, column-chunked matrix container with a JSON manifest
-  (dtype, shape, chunk width, per-chunk checksums), append-only column
-  growth for evolving data, and random access that only touches the
-  chunks it needs.
+  column-chunked matrix container with a JSON manifest (dtype, shape,
+  chunk width, per-chunk checksums), append-only column growth for
+  evolving data, and random access that only touches the chunks it
+  needs, each read whole (no memory map).
 * :class:`~repro.store.streaming.StreamingEncoder` — drives Batch-OMP
   chunk-by-chunk under a byte budget derived from Eq. 4, spilling
   encoded ``C`` blocks to disk and writing a checkpoint manifest after

@@ -1,4 +1,4 @@
-"""On-disk, memory-mapped, column-chunked matrix container.
+"""On-disk, column-chunked matrix container.
 
 Layout of a store directory::
 
@@ -21,10 +21,13 @@ killed at any instant leaves either the old consistent store or the new
 one — never a chunk wider than its manifest entry.  Orphan files from
 interrupted appends are garbage-collected by the next append.
 
-Reads go through ``numpy.load(..., mmap_mode="r")``: random access via
-:meth:`ColumnStore.read_columns` touches only the chunks that hold the
-requested columns, which is what lets α estimation and the tuner sample
-a few hundred columns out of a matrix that never fits in memory.
+Reads are whole-chunk: a chunk file's ``.npy`` header is parsed and
+checked on its first read through a store instance, and every read is
+then one ``numpy.fromfile`` of the whole chunk, with no memory map.
+Random access via :meth:`ColumnStore.read_columns` touches only the
+chunks that hold the requested columns, which is what lets α estimation
+and the tuner sample a few hundred columns out of a matrix that never
+fits in memory.
 """
 
 from __future__ import annotations
@@ -98,13 +101,15 @@ class ColumnStore:
     Use the classmethod constructors: :meth:`create` (empty store, grown
     with :meth:`append_columns`), :meth:`from_matrix` (chunk an existing
     array) or :meth:`open` (attach to a store on disk).  Instances hold
-    no file handles between calls; every read memory-maps just the
-    chunks it needs.
+    no file handles between calls; every read reads just the chunks it
+    needs, each whole.
     """
 
     def __init__(self, path, manifest: dict) -> None:
         self.path = Path(path)
         self._manifest = manifest
+        # chunk file name -> payload offset (see _read_chunk)
+        self._offsets: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # constructors
@@ -390,6 +395,7 @@ class ColumnStore:
                 generation=self._chunk_generation(last) + 1)
             entry["start"] = int(last["start"])
             chunks[-1] = entry
+            self._offsets.pop(last["file"], None)
             pending = pending[:, take:]
 
         start = self.shape[1] + (appended - pending.shape[1])
@@ -420,26 +426,82 @@ class ColumnStore:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def _read_chunk(self, index: int, *, mmap: bool = True) -> np.ndarray:
-        entry = self._manifest["chunks"][index]
+    def _chunk_offset(self, entry: dict) -> int:
+        """Parse a chunk file's ``.npy`` header from disk and check it.
+
+        Checks the magic string and format version, C order, the store's
+        dtype and the manifest entry's shape; returns the byte offset of
+        the payload.
+        """
         path = self.path / entry["file"]
-        if not path.exists():
-            raise ValidationError(
-                f"column store {self.path} is missing chunk file "
-                f"{entry['file']}")
         try:
-            arr = np.load(path, mmap_mode="r" if mmap else None)
+            with open(path, "rb") as fh:
+                version = np.lib.format.read_magic(fh)
+                if version == (1, 0):
+                    header = np.lib.format.read_array_header_1_0(fh)
+                elif version == (2, 0):
+                    header = np.lib.format.read_array_header_2_0(fh)
+                else:
+                    raise ValueError(
+                        f"unsupported .npy format version {version}")
+                offset = fh.tell()
+        except FileNotFoundError:
+            raise self._missing(entry) from None
         except (ValueError, OSError) as exc:
             raise ValidationError(
                 f"corrupt chunk file {path}: {exc}") from exc
-        if arr.ndim != 2 or arr.shape != (self.shape[0],
-                                          int(entry["columns"])):
+        shape, fortran, dtype = header
+        want = (self.shape[0], int(entry["columns"]))
+        if shape != want:
             raise ValidationError(
-                f"chunk file {path} has shape {arr.shape}, manifest "
-                f"says ({self.shape[0]}, {entry['columns']})")
+                f"chunk file {path} has shape {shape}, manifest says {want}")
+        if fortran or dtype != self.dtype:
+            raise ValidationError(
+                f"chunk file {path} holds {'Fortran' if fortran else 'C'}"
+                f"-order {dtype} data; the store reads C-order "
+                f"{self.dtype}")
+        return offset
+
+    def _missing(self, entry: dict) -> ValidationError:
+        return ValidationError(
+            f"column store {self.path} is missing chunk file "
+            f"{entry['file']}")
+
+    def _read_payload(self, entry: dict, offset: int) -> np.ndarray:
+        """The whole chunk of ``entry``, read from byte ``offset`` on."""
+        path = self.path / entry["file"]
+        shape = (self.shape[0], int(entry["columns"]))
+        count = shape[0] * shape[1]
+        try:
+            arr = np.fromfile(path, dtype=self.dtype, count=count,
+                              offset=offset)
+        except FileNotFoundError:
+            raise self._missing(entry) from None
+        except (ValueError, OSError) as exc:
+            raise ValidationError(
+                f"corrupt chunk file {path}: {exc}") from exc
+        if arr.size != count:
+            raise ValidationError(
+                f"chunk file {path} is truncated: {arr.size} of {count} "
+                f"values")
         obs.inc("store.chunks_read")
-        obs.inc("store.bytes_read", arr.size * arr.itemsize)
-        return arr
+        obs.inc("store.bytes_read", arr.nbytes)
+        return arr.reshape(shape)
+
+    def _read_chunk(self, index: int) -> np.ndarray:
+        """Chunk ``index`` as a fresh array: one whole-chunk read.
+
+        Each file's header is parsed and checked once per store
+        instance.  Caching its payload offset by file name is sound
+        because a chunk file the manifest references is never rewritten
+        under its name (a top-up writes a new generation file instead).
+        """
+        entry = self._manifest["chunks"][index]
+        offset = self._offsets.get(entry["file"])
+        if offset is None:
+            offset = self._offsets[entry["file"]] = \
+                self._chunk_offset(entry)
+        return self._read_payload(entry, offset)
 
     def read_range(self, lo: int, hi: int) -> np.ndarray:
         """Contiguous columns ``[lo, hi)`` as a fresh C-contiguous array.
@@ -528,12 +590,13 @@ class ColumnStore:
     def verify(self) -> bool:
         """Check every chunk file against its manifest checksum.
 
-        Returns ``True`` when all chunks are intact; raises
-        :class:`~repro.errors.ValidationError` naming the first corrupt
-        or missing chunk otherwise.
+        Every header is parsed and checked from disk again, whatever
+        earlier reads cached.  Returns ``True`` when all chunks are
+        intact; raises :class:`~repro.errors.ValidationError` naming the
+        first corrupt or missing chunk otherwise.
         """
-        for index, entry in enumerate(self._manifest["chunks"]):
-            arr = self._read_chunk(index, mmap=False)
+        for entry in self._manifest["chunks"]:
+            arr = self._read_payload(entry, self._chunk_offset(entry))
             got = _crc32(arr)
             if got != entry["checksum"]:
                 raise ValidationError(

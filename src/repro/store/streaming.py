@@ -194,13 +194,13 @@ def sample_store_dictionary(store: ColumnStore, size: int, *, seed=None,
     because ``normalize_columns`` gives a column the same bits whichever
     columns it is normalised with.  Shared by the streaming encoder and
     the distributed store transform (rank 0 samples, then broadcasts).
-    ``count_read(cols, arr)``, when given, observes the store read.
+    ``count_read(cols)``, when given, observes the store read.
     """
     rng = as_generator(seed)
     idx = np.sort(rng.choice(store.shape[1], size=size, replace=False))
     raw = store.read_columns(idx)
     if count_read is not None:
-        count_read(idx, raw)
+        count_read(idx)
     return Dictionary(normalize_columns(raw)[0] if normalize else raw, idx)
 
 
@@ -213,12 +213,12 @@ def encode_store_block(store: ColumnStore, dictionary, gram: np.ndarray,
 
     Returns the block and its Batch-OMP FLOPs.  ``lo`` must lie on an
     encode panel boundary, so the block's codes equal the in-memory
-    encode's columns ``lo..hi-1`` bit for bit.  ``count_read(cols,
-    arr)``, when given, observes the store read.
+    encode's columns ``lo..hi-1`` bit for bit.  ``count_read(cols)``,
+    when given, observes the store read.
     """
     raw = store.read_range(lo, hi)
     if count_read is not None:
-        count_read(np.arange(lo, hi), raw)
+        count_read(np.arange(lo, hi))
     c, st = batch_omp_matrix(dictionary, raw, eps, max_atoms=max_atoms,
                              strict=strict, gram=gram, workers=workers)
     return _Block(data=c.data, indices=c.indices, indptr=c.indptr,
@@ -547,12 +547,20 @@ class StreamingEncoder:
             self.store, self.size, seed=self.seed,
             normalize=self.normalize, count_read=self._count_read)
 
-    def _count_read(self, cols: np.ndarray, arr: np.ndarray) -> None:
-        """Account one store read of columns ``cols``."""
-        starts = [start for start, _ in self.store.chunk_bounds()]
-        self._bytes_read += arr.nbytes
-        self._chunks_read += np.unique(
-            np.searchsorted(starts, cols, side="right")).size
+    def _count_read(self, cols: np.ndarray) -> None:
+        """Account one store read of columns ``cols``.
+
+        The store reads every chunk that holds a requested column whole,
+        so this counts those chunks and all of their bytes, as the
+        ``store.chunks_read`` and ``store.bytes_read`` counters do.
+        """
+        bounds = self.store.chunk_bounds()
+        starts = [start for start, _ in bounds]
+        touched = np.unique(np.searchsorted(starts, cols, side="right") - 1)
+        width = sum(bounds[i][1] - bounds[i][0] for i in touched.tolist())
+        self._chunks_read += touched.size
+        self._bytes_read += width * self.store.shape[0] \
+            * self.store.dtype.itemsize
 
     # ------------------------------------------------------------------
     # the encode loop

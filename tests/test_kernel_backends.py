@@ -277,6 +277,32 @@ class TestGroupingInvariance:
             _same_result(got[j], want[j], f"split, column {j}")
 
 
+class TestPanelCodes:
+    """The kernel's panel result: padded arrays that read back as the
+    per-column tuples, as CSC assembly and perfbench's tracer use it."""
+
+    # 5 columns run the per-column loop; 270 a lockstep panel of 256
+    # and a per-column tail of 14.
+    @pytest.mark.parametrize("n", [5, 270])
+    def test_arrays_read_back_as_tuples(self, n):
+        gram, dta, col_sq = _invariance_panel(n)
+        codes = resolve_backend().batch_omp_columns(gram, dta, col_sq,
+                                                    0.05, None)
+        assert len(codes) == n
+        assert codes.support.shape == codes.coefficients.shape \
+            == (n, int(codes.sizes.max()))
+        for j, (s, c, r, it, ok) in enumerate(codes):
+            k = int(codes.sizes[j])
+            assert (type(r), type(it), type(ok)) == (float, int, bool)
+            assert s.size == c.size == k
+            np.testing.assert_array_equal(codes.support[j, :k], s)
+            assert not codes.support[j, k:].any()
+            assert not codes.coefficients[j, k:].any()
+            assert (r, it, ok) == (codes.res_sq[j], codes.iterations[j],
+                                   codes.converged[j])
+        assert sum(r[3] for r in codes) == codes.iterations.sum()
+
+
 class TestLockstepOracle:
     """The lockstep loop reproduces the per-column loop bit for bit when
     called directly — the kernel routes narrow calls (most golden cases)

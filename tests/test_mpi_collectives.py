@@ -1,5 +1,7 @@
 """Collective semantics of the MPI emulator."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -60,14 +62,21 @@ class TestReduce:
             run_spmd(2, prog)
         assert "median" in str(exc_info.value)
 
-    def test_only_named_ops_reduce(self):
-        """Only the four named ops reduce; a callable is refused."""
-        def prog(comm):
-            return comm.allreduce(1, op=lambda a, b: a * b)
-        with pytest.raises(RankFailedError) as exc_info:
-            run_spmd(2, prog, backend="threads")
-        assert all(isinstance(e, ValidationError)
-                   for e in exc_info.value.failures.values())
+    @pytest.mark.parametrize("backend", [
+        "threads",
+        pytest.param("processes", marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="process backend requires the fork start method"))])
+    def test_only_named_ops_reduce(self, backend):
+        """Only the four named ops reduce; a callable is refused with
+        the same error on either backend."""
+        def prog(comm, call):
+            return getattr(comm, call)(1, op=lambda a, b: a * b)
+        for call in ("reduce", "allreduce"):
+            with pytest.raises(RankFailedError) as exc_info:
+                run_spmd(2, prog, call, backend=backend)
+            assert all(isinstance(e, ValidationError)
+                       for e in exc_info.value.failures.values()), call
 
     def test_reduce_result_is_private(self):
         def prog(comm):

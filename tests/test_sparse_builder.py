@@ -81,8 +81,28 @@ class TestColumnBuilder:
         assert b.ncols == 2 and b.nnz == 3
 
 
+def _pad(lists, fill, dtype):
+    """Stack ragged ``lists`` into one array, padded with ``fill``."""
+    cap = max((len(x) for x in lists), default=0)
+    out = np.full((len(lists), cap), fill, dtype=dtype)
+    for j, x in enumerate(lists):
+        out[j, :len(x)] = x
+    return out
+
+
+def _padded(rows, values):
+    """``add_columns`` arguments for per-column ``rows``/``values``.
+
+    Padding holds an out-of-range row and NaN, so the checks and the
+    copy must both ignore it.
+    """
+    return (_pad(rows, -9, np.int64), _pad(values, np.nan, np.float64),
+            np.array([len(r) for r in rows], dtype=np.int64))
+
+
 class TestAddColumns:
-    """The per-panel bulk append matches ``add_column`` column by column."""
+    """The per-panel bulk append from padded ``(n, cap)`` arrays matches
+    ``add_column`` column by column."""
 
     def test_matches_per_column_appends(self):
         rng = np.random.default_rng(0)
@@ -93,7 +113,7 @@ class TestAddColumns:
             b.add_column([2], [7.0])
         for r, v in zip(rows, values):
             ref.add_column(r, v)
-        bulk.add_columns(rows, values)
+        bulk.add_columns(*_padded(rows, values))
         a, b = ref.finalize(), bulk.finalize()
         for attr in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
@@ -101,8 +121,10 @@ class TestAddColumns:
 
     def test_empty_panel(self):
         b = ColumnBuilder(nrows=3)
-        b.add_columns([np.empty(0, dtype=np.int64)] * 2, [np.empty(0)] * 2)
-        assert b.ncols == 2 and b.nnz == 0
+        for cap in (0, 3):
+            b.add_columns(np.zeros((2, cap), dtype=np.int64),
+                          np.zeros((2, cap)), [0, 0])
+        assert b.ncols == 4 and b.nnz == 0
 
     @pytest.mark.parametrize("rows, values, match", [
         ([[0], [1, 1]], [[1.0], [1.0, 2.0]], "duplicate"),
@@ -115,14 +137,34 @@ class TestAddColumns:
         b = ColumnBuilder(nrows=4)
         b.add_column([2], [3.0])
         with pytest.raises(ValidationError, match=match):
-            b.add_columns([np.asarray(r) for r in rows],
-                          [np.asarray(v) for v in values])
+            b.add_columns(*_padded(rows, values))
+        assert b.ncols == 1 and b.nnz == 1
+
+    @pytest.mark.parametrize("rows, values, counts", [
+        ([[0, 9], [1, 3]], [[1.0, 0.0], [1.0, 2.0]], [1, 2, 0]),
+        ([[0, 9], [1, 3]], [[1.0, 0.0], [1.0, 2.0]], [1]),
+        ([[0, 9], [1, 3]], [[1.0, 0.0], [1.0, 2.0]], [[1, 2]]),
+        ([0, 9], [1.0, 0.0], [1]),                 # 1-D, not (n, cap)
+    ])
+    def test_counts_shape_mismatch_rejected(self, rows, values, counts):
+        b = ColumnBuilder(nrows=4)
+        b.add_column([2], [3.0])
+        with pytest.raises(ValidationError, match="equal-length"):
+            b.add_columns(rows, values, counts)
+        assert b.ncols == 1 and b.nnz == 1
+
+    @pytest.mark.parametrize("counts", [[1, -1], [1, 3]])
+    def test_counts_outside_cap_rejected(self, counts):
+        b = ColumnBuilder(nrows=4)
+        b.add_column([2], [3.0])
+        rows, values, _ = _padded([[0], [1, 3]], [[1.0], [1.0, 2.0]])
+        with pytest.raises(ValidationError, match="counts"):
+            b.add_columns(rows, values, counts)
         assert b.ncols == 1 and b.nnz == 1
 
     def test_same_row_in_different_columns_is_fine(self):
         b = ColumnBuilder(nrows=4)
-        b.add_columns([np.array([1]), np.array([1, 0])],
-                      [np.array([1.0]), np.array([2.0, 3.0])])
+        b.add_columns(*_padded([[1], [1, 0]], [[1.0], [2.0, 3.0]]))
         c = b.finalize()
         assert c.indices.tolist() == [1, 0, 1]
         assert c.data.tolist() == [1.0, 3.0, 2.0]

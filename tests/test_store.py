@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro import observability as obs
 from repro.core import (
     ExtDict,
     exd_transform,
@@ -99,6 +100,44 @@ class TestColumnStore:
         chunk.write_bytes(bytes(blob))
         with pytest.raises(ValidationError, match="checksum"):
             ColumnStore.open(tmp_path / "a.store").verify()
+
+    def _chunk_file(self, store, index):
+        return store.path / "chunks" / f"chunk-{index:06d}.npy"
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda p: os.truncate(p, p.stat().st_size - 8), "truncated"),
+        (lambda p: p.unlink(), "missing chunk file"),
+    ], ids=["truncated", "missing"])
+    def test_damaged_chunk_after_cached_header(self, data, store, damage,
+                                               match):
+        """A chunk whose header an earlier read checked and cached still
+        fails loudly when its payload is cut short or gone."""
+        np.testing.assert_array_equal(store.read_range(256, 512),
+                                      data[:, 256:512])
+        damage(self._chunk_file(store, 1))
+        with pytest.raises(ValidationError, match=match):
+            store.read_range(256, 512)
+        with pytest.raises(ValidationError, match=match):
+            store.read_columns([300])
+
+    @pytest.mark.parametrize("old, new, match", [
+        (b"(32, 256)", b"(32, 255)", "shape"),
+        (b"'<f8'", b"'<f4'", "float32"),
+        (b"\x93NUMPY", b"\x93NUMPX", "corrupt"),
+    ], ids=["shape", "dtype", "magic"])
+    def test_verify_rereads_headers(self, store, old, new, match):
+        """verify() parses every header from disk, not from the cache
+        the reads filled; a store that has not read the chunk yet
+        refuses it on its first read."""
+        store.as_array()
+        chunk = self._chunk_file(store, 2)
+        blob = chunk.read_bytes()
+        assert old in blob
+        chunk.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(ValidationError, match=match):
+            store.verify()
+        with pytest.raises(ValidationError, match=match):
+            ColumnStore.open(store.path).read_range(512, 768)
 
     def test_fingerprint_tracks_content(self, store, rng):
         before = store.fingerprint()
@@ -368,6 +407,18 @@ class TestCheckpointResume:
         np.testing.assert_array_equal(t1.coefficients.data,
                                       t2.coefficients.data)
         assert s1 == s2
+
+    def test_report_counts_what_the_store_reads(self, store):
+        """The report's reads equal the store's own counters over a run
+        that samples its dictionary: whole chunks, in chunks and bytes."""
+        with obs.observed():
+            _, _, rep = StreamingEncoder(store, L, EPS, seed=2,
+                                         block_width=512).run()
+            chunks = obs.REGISTRY.counter("store.chunks_read")
+            nbytes = obs.REGISTRY.counter("store.bytes_read")
+        # the sampled atoms touch every chunk, then each block its own
+        assert rep.chunks_read == chunks == 2 * store.n_chunks
+        assert rep.bytes_read == nbytes == 2 * store.nbytes
 
     def test_partial_resume_reencodes_only_missing(self, store, tmp_path):
         ck = tmp_path / "ck"
