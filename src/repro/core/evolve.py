@@ -152,9 +152,8 @@ def extend_transform(transform: TransformedData, a_new, *, seed=None,
     remainder = take_columns(a_new, fail_idx)
     l_new = new_dictionary_size or min(transform.l, remainder.shape[1])
     l_new = min(l_new, remainder.shape[1])
-    normalize = bool(transform.meta.get("normalized", True))
     sub_transform, _ = exd_transform(remainder, l_new, eps, seed=seed,
-                                     normalize=normalize, workers=workers)
+                                     workers=workers)
     new_atoms = Dictionary(sub_transform.dictionary.atoms,
                            np.full(sub_transform.l, -1, dtype=np.int64))
     grown = transform.dictionary.concat(new_atoms)

@@ -72,8 +72,7 @@ def normalize_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exd_transform(a, size: int, eps: float, *, seed=None,
-                  normalize: bool = True, max_atoms: int | None = None,
-                  strict: bool = False,
+                  max_atoms: int | None = None, strict: bool = False,
                   dictionary: Dictionary | None = None,
                   workers: int | None = None,
                   memory_budget_bytes: int | None = None,
@@ -93,10 +92,6 @@ def exd_transform(a, size: int, eps: float, *, seed=None,
         Dictionary size L (the tunable redundancy knob).
     eps:
         Relative transformation error tolerance of Eq. 1.
-    normalize:
-        Scale the sampled atoms to unit ℓ2 norm (zero atoms stay zero).
-        The data columns are coded as they are either way, so the
-        transform approximates ``A`` itself.
     dictionary:
         Reuse a pre-sampled dictionary instead of sampling one (used by
         the SPMD driver, where rank 0's sample is shared).  May be any
@@ -131,7 +126,7 @@ def exd_transform(a, size: int, eps: float, *, seed=None,
         from repro.store.streaming import StreamingEncoder
 
         encoder = StreamingEncoder(
-            a, size, eps, seed=seed, normalize=normalize,
+            a, size, eps, seed=seed,
             max_atoms=max_atoms, strict=strict, workers=workers,
             dictionary=dictionary,
             memory_budget_bytes=memory_budget_bytes,
@@ -151,10 +146,8 @@ def exd_transform(a, size: int, eps: float, *, seed=None,
         if dictionary is None:
             size = check_positive_int(size, "size")
             dictionary = sample_dictionary(a, size, seed=seed)
-            if normalize:
-                dictionary = Dictionary(
-                    normalize_columns(dictionary.atoms)[0],
-                    dictionary.indices)
+            dictionary = Dictionary(normalize_columns(dictionary.atoms)[0],
+                                    dictionary.indices)
         elif dictionary.m != a.shape[0]:
             raise ValidationError(
                 f"dictionary rows {dictionary.m} != data rows {a.shape[0]}")
@@ -172,7 +165,7 @@ def exd_transform(a, size: int, eps: float, *, seed=None,
                      converged_columns=omp_stats.converged_columns,
                      omp_iterations=omp_stats.total_iterations,
                      flops=omp_stats.flops)
-    meta = {"normalized": normalize}
+    meta = {"normalized": True}
     if not isinstance(dictionary, Dictionary):
         meta["fastdict_rc"] = float(dictionary.relative_complexity)
         meta["fastdict_residual"] = float(getattr(dictionary, "residual",
@@ -184,7 +177,7 @@ def exd_transform(a, size: int, eps: float, *, seed=None,
     return transform, stats
 
 
-def _exd_rank_program(comm, a, size, eps, seed, normalize, max_atoms):
+def _exd_rank_program(comm, a, size, eps, seed, max_atoms):
     """SPMD body of Algorithm 1 (one rank)."""
     rank, p = comm.Get_rank(), comm.Get_size()
     m, n = a.shape
@@ -204,9 +197,7 @@ def _exd_rank_program(comm, a, size, eps, seed, normalize, max_atoms):
     # Step 1-2: every rank loads D and its column block.
     lo = rank * n // p
     hi = (rank + 1) * n // p
-    atoms = a[:, idx]
-    if normalize:
-        atoms, _ = normalize_columns(atoms)
+    atoms, _ = normalize_columns(a[:, idx])
     dictionary = Dictionary(np.ascontiguousarray(atoms), idx)
     # Step 3: local Batch-OMP; FLOPs billed to this rank's clock.
     c_local, stats = batch_omp_matrix(dictionary, a[:, lo:hi], eps,
@@ -228,11 +219,11 @@ def _exd_rank_program(comm, a, size, eps, seed, normalize, max_atoms):
     )
     return TransformedData(dictionary=dictionary, coefficients=full,
                            eps=eps, method="exd",
-                           meta={"normalized": normalize}), agg
+                           meta={"normalized": True}), agg
 
 
-def _exd_store_rank_program(comm, store, size, eps, seed, normalize,
-                            max_atoms, block_width):
+def _exd_store_rank_program(comm, store, size, eps, seed, max_atoms,
+                            block_width):
     """SPMD body of Algorithm 1 over a ColumnStore (one rank).
 
     Rank 0 samples the dictionary from disk (reading only the sampled
@@ -258,8 +249,7 @@ def _exd_store_rank_program(comm, store, size, eps, seed, normalize,
     rank, p = comm.Get_rank(), comm.Get_size()
     m, n = store.shape
     if rank == 0:
-        d = sample_store_dictionary(store, size, seed=seed,
-                                    normalize=normalize)
+        d = sample_store_dictionary(store, size, seed=seed)
         payload = (d.atoms, d.indices)
     else:
         payload = None
@@ -296,12 +286,11 @@ def _exd_store_rank_program(comm, store, size, eps, seed, normalize,
                                 [_Block(*b[1:]) for b in pieces], n)
     return TransformedData(dictionary=dictionary, coefficients=full,
                            eps=eps, method="exd",
-                           meta={"normalized": normalize}), agg
+                           meta={"normalized": True}), agg
 
 
 def exd_transform_distributed(a, size: int, eps: float, cluster, *,
-                              seed=None, normalize: bool = True,
-                              max_atoms: int | None = None,
+                              seed=None, max_atoms: int | None = None,
                               block_width: int | None = None,
                               backend: str | None = None):
     """Run Algorithm 1 on the emulated cluster.
@@ -337,7 +326,7 @@ def exd_transform_distributed(a, size: int, eps: float, cluster, *,
                 f"N={n} data columns")
         with obs.span("exd.transform_distributed"):
             result = run_spmd(0, _exd_store_rank_program, a, size, eps,
-                              seed, normalize, max_atoms, block_width,
+                              seed, max_atoms, block_width,
                               cluster=cluster, backend=backend)
         transform, stats = result.returns[0]
         return transform, stats, result
@@ -355,7 +344,6 @@ def exd_transform_distributed(a, size: int, eps: float, cluster, *,
             f"N={a.shape[1]} data columns")
     with obs.span("exd.transform_distributed"):
         result = run_spmd(0, _exd_rank_program, a, size, eps, seed,
-                          normalize, max_atoms, cluster=cluster,
-                          backend=backend)
+                          max_atoms, cluster=cluster, backend=backend)
     transform, stats = result.returns[0]
     return transform, stats, result

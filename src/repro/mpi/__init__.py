@@ -5,8 +5,9 @@ faithful message-passing runtime that executes the same SPMD algorithms
 on one host:
 
 * each rank runs the user's rank program in its own thread or its own
-  forked process (real parallelism with shared-memory payload transfer
-  — see ``docs/mpi_backends.md``); ``auto`` picks from the host;
+  forked process (real parallelism, every message pickled on one pipe
+  per rank — see ``docs/mpi_backends.md``); ``auto`` picks from the
+  host;
 * a rank's communicator offers ``bcast``, ``reduce``, ``allreduce`` and
   ``gather`` over the whole world (mpi4py's lowercase, pickled-object
   convention), plus ``charge_flops``, ``Get_rank`` and ``Get_size``;

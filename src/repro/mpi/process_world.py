@@ -1,7 +1,7 @@
 """Multiprocess SPMD backend: real parallelism behind the same API.
 
-Architecture — *control plane in the parent, data plane in shared
-memory*:
+Architecture — *accounting in the parent, every message on one pipe
+per rank*:
 
 * each rank's program runs in a forked **worker process** (its own GIL,
   its own BLAS threads);
@@ -14,40 +14,30 @@ memory*:
   semantics are *by construction* identical across backends;
 * each worker call is one ``("call", method, args)`` RPC to its proxy
   over a duplex pipe, for the five names in :data:`_ALLOWED_METHODS`;
-  ndarray payloads of at least :data:`~repro.mpi.shm.SHM_THRESHOLD_BYTES`
-  ride named shared-memory segments instead of the pipe (see
-  :mod:`repro.mpi.shm`).
+  the arguments, the reply and the rank's return ride that pipe
+  pickled.
 
-The proxies decode shared-memory descriptors back into real arrays
-*before* invoking the communicator, and re-encode results on the way
-out — the accounting layer only ever sees genuine payloads.
+Everything received is passed through :func:`_reintern` first, so the
+accounting layer sees payloads that pickle, and so bill, exactly as on
+the thread backend.
 """
 
 from __future__ import annotations
 
 import contextvars
-import itertools
 import multiprocessing
-import os
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
+
+import numpy as np
 
 from repro.errors import DeadlockError, MPIEmulatorError, portable_exc
 from repro.mpi.communicator import Communicator, _resolve_op
-from repro.mpi.shm import (
-    SegmentRegistry,
-    decode_payload,
-    encode_payload,
-    sweep_orphans,
-)
 from repro.mpi.world import World, join_with_abort_grace
 
 __all__ = ["ProcessCommunicator", "run_process_ranks"]
-
-#: Monotone run counter, making segment-name prefixes unique per run
-#: even within one parent process.
-_RUN_IDS = itertools.count()
 
 #: The communicator methods a worker may ask its proxy to run.
 _ALLOWED_METHODS = frozenset({
@@ -55,34 +45,52 @@ _ALLOWED_METHODS = frozenset({
 })
 
 
+def _reintern(value):
+    """Swap unpickled dtype instances for numpy's interned singletons.
+
+    Unpickling an ndarray rebuilds its dtype as a *fresh* instance, not
+    numpy's cached singleton.  That is invisible to computation but not
+    to re-pickling: the traffic ledger charges a non-array payload by
+    its pickle size, and pickle memoises dtypes by identity — a payload
+    whose arrays stopped sharing one ``int64`` instance pickles a few
+    bytes larger than the same payload on the thread backend.  Restoring
+    the singletons keeps word counts backend-independent.  Arrays inside
+    tuples, lists and dicts are reached; the dtypes change in place, so
+    ``value`` itself is returned, containers and their types untouched.
+    """
+    if isinstance(value, np.ndarray):
+        try:
+            canon = np.dtype(value.dtype.str)
+            if canon is not value.dtype and canon == value.dtype:
+                value.dtype = canon
+        except (TypeError, ValueError):
+            pass  # exotic/structured dtypes: equality-sharing not guaranteed
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _reintern(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _reintern(item)
+    return value
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 class _WorkerLink:
-    """The worker's end of the RPC pipe (plus shm bookkeeping)."""
+    """The worker's end of the RPC pipe."""
 
-    def __init__(self, conn, prefix: str, rank: int) -> None:
+    def __init__(self, conn) -> None:
         self.conn = conn
-        self._prefix = prefix
-        self._rank = rank
-        self._seq = itertools.count()
         self._lock = threading.Lock()
-        self.pins: list = []          # segments backing zero-copy views
-
-    def _namer(self) -> str:
-        return f"{self._prefix}w{self._rank}n{next(self._seq)}"
-
-    def encode(self, value):
-        return encode_payload(value, self._namer)
 
     def call(self, method: str, args: tuple):
         """One synchronous RPC to this rank's proxy."""
         with self._lock:
-            self.conn.send(("call", method, self.encode(args)))
+            self.conn.send(("call", method, args))
             reply = self.conn.recv()
         if reply[0] == "ok":
-            # Zero-copy map: results are views pinned until worker exit.
-            return decode_payload(reply[1], pin=self.pins)
+            return _reintern(reply[1])
         _, kind, exc = reply
         if kind == "abort":
             try:
@@ -96,12 +104,6 @@ class _WorkerLink:
             self.conn.send(message)
 
     def close(self) -> None:
-        for seg in self.pins:
-            try:
-                seg.close()
-            except Exception:  # noqa: BLE001 - teardown best-effort
-                pass
-        self.pins.clear()
         try:
             self.conn.close()
         except OSError:
@@ -146,8 +148,8 @@ class ProcessCommunicator:
         return self._link.call("gather", (value, root))
 
 
-def _worker_main(conn, prefix: str, rank: int, size: int, fn, args,
-                 kwargs, observed: bool) -> None:
+def _worker_main(conn, rank: int, size: int, fn, args, kwargs,
+                 observed: bool) -> None:
     """Entry point of one forked rank process."""
     from repro import observability as obs
 
@@ -156,7 +158,7 @@ def _worker_main(conn, prefix: str, rank: int, size: int, fn, args,
         # them so what the parent merges is this rank's telemetry alone.
         obs.REGISTRY.reset()
         obs.SPANS.reset()
-    link = _WorkerLink(conn, prefix, rank)
+    link = _WorkerLink(conn)
     comm = ProcessCommunicator(link, rank, size)
     try:
         try:
@@ -173,16 +175,18 @@ def _worker_main(conn, prefix: str, rank: int, size: int, fn, args,
         except BaseException as exc:  # noqa: BLE001 - reported to parent
             link.send_terminal(("failed", portable_exc(exc)))
         else:
+            telemetry = (obs.REGISTRY.snapshot(), obs.SPANS.snapshot()) \
+                if observed else None
             try:
-                payload = link.encode(ret)
+                link.send_terminal(("finished", ret, telemetry))
+            except OSError:
+                raise  # the parent is gone: handled below
             except Exception as exc:  # noqa: BLE001 - unpicklable return
+                # The pipe pickles the whole message before writing any
+                # of it, so nothing of the failed send reached the parent.
                 link.send_terminal(("failed", RuntimeError(
                     f"rank {rank} return value could not be "
                     f"transferred: {exc}")))
-            else:
-                telemetry = (obs.REGISTRY.snapshot(), obs.SPANS.snapshot()) \
-                    if observed else None
-                link.send_terminal(("finished", payload, telemetry))
     except (BrokenPipeError, OSError):
         pass  # parent is gone; nothing left to report to
     finally:
@@ -192,34 +196,11 @@ def _worker_main(conn, prefix: str, rank: int, size: int, fn, args,
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-class _ParentLink:
-    """One rank's proxy-side pipe end plus shm bookkeeping."""
-
-    def __init__(self, conn, prefix: str, rank: int,
-                 registry: SegmentRegistry) -> None:
-        self.conn = conn
-        self.rank = rank
-        self.registry = registry
-        self._prefix = prefix
-        self._seq = itertools.count()
-
-    def _namer(self) -> str:
-        name = f"{self._prefix}p{self.rank}n{next(self._seq)}"
-        self.registry.add(name)
-        return name
-
-    def encode(self, value):
-        return encode_payload(value, self._namer)
-
-    def decode(self, value):
-        return decode_payload(value, on_name=self.registry.discard)
-
-
 @dataclass
 class _RankChannel:
     rank: int
     proc: multiprocessing.Process
-    link: _ParentLink
+    conn: Connection  # the proxy's end of the rank's duplex pipe
     done: bool = False
 
 
@@ -228,7 +209,7 @@ def _proxy_loop(world: World, chan: _RankChannel, returns: list,
     """Parent thread replaying one worker's calls on a real comm."""
     from repro import observability as obs
 
-    rank, conn, link = chan.rank, chan.link.conn, chan.link
+    rank, conn = chan.rank, chan.conn
     comm = Communicator(world, rank)
 
     def worker_died() -> None:
@@ -260,14 +241,13 @@ def _proxy_loop(world: World, chan: _RankChannel, returns: list,
                 return
             kind = msg[0]
             if kind == "call":
-                _, method, eargs = msg
+                _, method, args = msg
                 try:
-                    args = link.decode(eargs)
                     if method not in _ALLOWED_METHODS:
                         raise MPIEmulatorError(
                             f"method {method!r} is not part of the "
                             f"process-backend communicator protocol")
-                    reply = ("ok", link.encode(getattr(comm, method)(*args)))
+                    reply = ("ok", getattr(comm, method)(*_reintern(args)))
                 except DeadlockError as exc:
                     reply = ("err", "deadlock", portable_exc(exc))
                 except MPIEmulatorError as exc:
@@ -282,10 +262,7 @@ def _proxy_loop(world: World, chan: _RankChannel, returns: list,
                     return
             elif kind == "finished":
                 _, payload, telemetry = msg
-                try:
-                    returns[rank] = link.decode(payload)
-                except Exception as exc:  # noqa: BLE001 - corrupt segment
-                    world.rank_failed(rank, exc)
+                returns[rank] = _reintern(payload)
                 if telemetry is not None:
                     metrics, spans = telemetry
                     obs.REGISTRY.merge(metrics)
@@ -315,15 +292,12 @@ def run_process_ranks(world: World, fn, args, kwargs, returns: list,
     does; failure and deadlock state lands in ``world``.  Guarantees
     teardown: once the world aborts, stragglers get a bounded grace
     period (:func:`~repro.mpi.world.join_with_abort_grace`) and are then
-    terminated and reaped; every shared-memory segment the run created
-    is unlinked before returning.
+    terminated and reaped.
     """
     from repro import observability as obs
 
     size = world.size
     ctx = multiprocessing.get_context("fork")
-    prefix = f"repro-mpi-{os.getpid()}-{next(_RUN_IDS)}-"
-    registry = SegmentRegistry()
     observed = obs.enabled()
 
     channels: list[_RankChannel] = []
@@ -332,14 +306,12 @@ def run_process_ranks(world: World, fn, args, kwargs, returns: list,
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, prefix, rank, size, fn, args, kwargs,
-                      observed),
+                args=(child_conn, rank, size, fn, args, kwargs, observed),
                 name=f"repro-mpi-rank-{rank}", daemon=True)
             proc.start()
             child_conn.close()
-            channels.append(_RankChannel(
-                rank=rank, proc=proc,
-                link=_ParentLink(parent_conn, prefix, rank, registry)))
+            channels.append(_RankChannel(rank=rank, proc=proc,
+                                         conn=parent_conn))
 
         proxies = [threading.Thread(target=_proxy_loop,
                                     args=(world, chan, returns, deadlock),
@@ -371,12 +343,10 @@ def run_process_ranks(world: World, fn, args, kwargs, returns: list,
             time.sleep(0.02)
         for chan in channels:
             try:
-                chan.link.conn.close()
+                chan.conn.close()
             except OSError:
                 pass
             try:
                 chan.proc.close()
             except ValueError:
                 pass  # still alive despite kill; leave it to the OS
-        registry.drain()
-        sweep_orphans(prefix)

@@ -15,9 +15,9 @@ Two interchangeable execution backends sit behind the same API (see
   cost, but all rank *Python* code shares one GIL, so wall-time never
   beats serial for compute-bound programs.
 * ``"processes"`` — every rank is a forked worker process with its own
-  GIL; large ndarray payloads cross via shared memory.  The accounting
-  (traffic ledger, virtual clocks, RunReport totals) stays in the
-  parent and is bit-identical to the thread backend.
+  GIL; its calls, payloads and return cross one pipe, pickled.  The
+  accounting (traffic ledger, virtual clocks, RunReport totals) stays
+  in the parent and is bit-identical to the thread backend.
 
 ``"auto"`` (the default, also what ``backend=None`` means) picks
 ``"processes"`` only where it can work and plausibly win: ``fork``

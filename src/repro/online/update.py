@@ -37,6 +37,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.core.dictionary import Dictionary
+from repro.core.exd import normalize_columns
 from repro.errors import ValidationError
 from repro.linalg.parallel_omp import GRAM_CACHE
 
@@ -152,8 +153,8 @@ class OnlineUpdater:
             norm = float(np.linalg.norm(u))
             # Mairal's projection onto the unit ball keeps the
             # surrogate's majorisation valid; project onto the atom's
-            # current norm instead, which is 1 for a fitted atom and the
-            # source column's norm for one evict_dead re-seeded.
+            # current norm instead, which is 1 for a fitted atom and for
+            # one evict_dead re-seeded (it normalises the replacements).
             target = max(float(np.linalg.norm(d[:, j])),
                          self.config.norm_floor)
             if norm > self.config.norm_floor:
@@ -172,9 +173,12 @@ class OnlineUpdater:
         ``AtomStats.dead_atoms``); ``replacements`` — an ``(M, k)``
         stack of candidate columns *already ordered* worst-reconstructed
         first (the maintainer ranks them); surplus dead atoms beyond
-        ``k`` keep their current value.  Surrogate rows/columns of a
-        re-seeded atom are zeroed — its statistics restart.  Returns the
-        atom indices actually replaced.
+        ``k`` keep their current value.  The replacements are scaled to
+        unit norm by :func:`~repro.core.exd.normalize_columns`, so a
+        re-seeded atom has the bits a fit sampling that column would
+        give it.  Surrogate rows/columns of a re-seeded atom are zeroed
+        — its statistics restart.  Returns the atom indices actually
+        replaced.
         """
         dead = np.asarray(dead, dtype=np.int64)
         replacements = np.asarray(replacements, dtype=np.float64)
@@ -182,6 +186,7 @@ class OnlineUpdater:
             raise ValidationError(
                 f"replacements must be (M, k), got {replacements.shape}")
         take = min(int(dead.size), replacements.shape[1])
+        replacements = normalize_columns(replacements[:, :take])[0]
         replaced: list[int] = []
         for slot in range(take):
             j = int(dead[slot])

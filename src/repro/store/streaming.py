@@ -185,12 +185,11 @@ class _Block:
 
 
 def sample_store_dictionary(store: ColumnStore, size: int, *, seed=None,
-                            normalize: bool = True,
                             count_read=None) -> Dictionary:
     """Replay ``sample_dictionary`` reading only the sampled columns.
 
-    With ``normalize`` the sampled columns are scaled to unit atoms;
-    they equal the in-memory ``exd_transform``'s atoms bit for bit,
+    The sampled columns are scaled to unit atoms; they equal the
+    in-memory ``exd_transform``'s atoms bit for bit,
     because ``normalize_columns`` gives a column the same bits whichever
     columns it is normalised with.  Shared by the streaming encoder and
     the distributed store transform (rank 0 samples, then broadcasts).
@@ -201,7 +200,7 @@ def sample_store_dictionary(store: ColumnStore, size: int, *, seed=None,
     raw = store.read_columns(idx)
     if count_read is not None:
         count_read(idx)
-    return Dictionary(normalize_columns(raw)[0] if normalize else raw, idx)
+    return Dictionary(normalize_columns(raw)[0], idx)
 
 
 def encode_store_block(store: ColumnStore, dictionary, gram: np.ndarray,
@@ -260,7 +259,7 @@ class StreamingEncoder:
     ----------
     store:
         The :class:`~repro.store.ColumnStore` holding ``A``.
-    size, eps, seed, normalize, max_atoms, strict, workers:
+    size, eps, seed, max_atoms, strict, workers:
         Exactly the knobs of :func:`repro.core.exd.exd_transform`; the
         result is bit-identical to the in-memory call for every block
         width and worker count.
@@ -292,8 +291,8 @@ class StreamingEncoder:
     """
 
     def __init__(self, store: ColumnStore, size: int, eps: float, *,
-                 seed=None, normalize: bool = True,
-                 max_atoms: int | None = None, strict: bool = False,
+                 seed=None, max_atoms: int | None = None,
+                 strict: bool = False,
                  workers: int | None = None,
                  dictionary: Dictionary | None = None,
                  memory_budget_bytes: int | None = None,
@@ -322,7 +321,6 @@ class StreamingEncoder:
             size = dictionary.size
         self.size = int(size)
         self.seed = seed
-        self.normalize = bool(normalize)
         self.strict = bool(strict)
         self.workers = workers
         self.dictionary = dictionary
@@ -363,7 +361,8 @@ class StreamingEncoder:
             "size": self.size,
             "eps": float(self.eps),
             "seed": None if seed is None else int(seed),
-            "normalize": self.normalize,
+            # Atoms are always unit; kept so v4 checkpoints resume.
+            "normalize": True,
             "max_atoms": self.max_atoms,
             "strict": self.strict,
             "block_width": self.block_width,
@@ -545,7 +544,7 @@ class StreamingEncoder:
     def _sample_dictionary(self) -> Dictionary:
         return sample_store_dictionary(
             self.store, self.size, seed=self.seed,
-            normalize=self.normalize, count_read=self._count_read)
+            count_read=self._count_read)
 
     def _count_read(self, cols: np.ndarray) -> None:
         """Account one store read of columns ``cols``.
@@ -634,7 +633,7 @@ class StreamingEncoder:
                 self._write_checkpoint(entries, "complete")
 
             c, stats = assemble_blocks(dictionary, blocks, n)
-        meta = {"normalized": self.normalize}
+        meta = {"normalized": True}
         if not isinstance(dictionary, Dictionary):
             meta["fastdict_rc"] = float(dictionary.relative_complexity)
             meta["fastdict_residual"] = float(getattr(dictionary,

@@ -41,17 +41,10 @@ class TestExdTransform:
             alphas.append(t.alpha)
         assert alphas[0] >= alphas[-1]
 
-    def test_unnormalized_mode(self, union_data):
-        a, _ = union_data
-        scaled = a * np.linspace(1, 10, a.shape[1])
-        t, stats = exd_transform(scaled, 40, 0.05, seed=0, normalize=False)
-        # Per-column OMP still enforces relative error on raw columns.
-        assert t.transformation_error(scaled) <= 0.05 + 1e-9
-
     def test_normalization_rescales_correctly(self, union_data):
         a, _ = union_data
         scaled = a * np.linspace(0.1, 50, a.shape[1])
-        t, _ = exd_transform(scaled, 40, 0.05, seed=0, normalize=True)
+        t, _ = exd_transform(scaled, 40, 0.05, seed=0)
         assert t.transformation_error(scaled) <= 0.05 + 1e-9
 
     def test_strict_mode_raises_for_tiny_dictionary(self, union_data):
@@ -96,23 +89,20 @@ class TestExdDistributed:
         assert spmd.simulated_time > 0
         assert stats.all_converged
 
-    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("backend", [
         "threads",
         pytest.param("processes", marks=pytest.mark.skipif(
             "fork" not in multiprocessing.get_all_start_methods(),
             reason="process backend requires the fork start method"))])
-    def test_bits_match_serial(self, backend, normalize):
+    def test_bits_match_serial(self, backend):
         """Every rank normalises only its atoms and codes its column
         block as it is; the blocks of N=700 on 4 ranks start mid-panel."""
         from repro.data import salina_like
 
         a, _ = salina_like(n=700, seed=3)
-        serial, serial_stats = exd_transform(a, 48, 0.1, seed=6,
-                                             normalize=normalize)
+        serial, serial_stats = exd_transform(a, 48, 0.1, seed=6)
         dist, stats, spmd = exd_transform_distributed(
-            a, 48, 0.1, platform_by_name("1x4"), seed=6,
-            normalize=normalize, backend=backend)
+            a, 48, 0.1, platform_by_name("1x4"), seed=6, backend=backend)
         assert spmd.backend == backend
         np.testing.assert_array_equal(dist.dictionary.atoms,
                                       serial.dictionary.atoms)

@@ -1,19 +1,22 @@
-"""The multiprocess SPMD backend: resolution, shm plane, and parity.
+"""The multiprocess SPMD backend: resolution, protocol, and parity.
 
 The process backend's contract is *accounting identity*: any rank
 program produces the same returns, the same traffic-ledger word counts,
 the same virtual-clock totals, and (for the store-backed distributed
 transform) bit-identical coefficients, whichever backend executes it.
-These tests pin that contract, plus backend resolution, the
-shared-memory payload codec, and the process communicator's protocol.
+These tests pin that contract, plus backend resolution, the process
+communicator's pipe protocol, and the dtype re-interning of what a
+pipe delivers.
 """
 
-import glob
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
+import threading
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +26,10 @@ import repro
 from repro import observability as obs
 from repro.errors import MPIEmulatorError, RankFailedError
 from repro.mpi import Communicator, resolve_mpi_backend, run_spmd
-from repro.mpi.process_world import _ALLOWED_METHODS, ProcessCommunicator
-from repro.mpi.shm import (
-    SHM_THRESHOLD_BYTES,
-    SegmentRegistry,
-    ShmPayload,
-    decode_payload,
-    encode_payload,
-    export_array,
-    map_array,
-    sweep_orphans,
+from repro.mpi.process_world import (
+    _ALLOWED_METHODS,
+    ProcessCommunicator,
+    _reintern,
 )
 from repro.mpi.world import World
 from repro.platform.presets import platform_by_name
@@ -116,6 +113,20 @@ print(json.dumps({
 """
 
 
+_TRACKER_PROBE = """
+import json
+import numpy as np
+from multiprocessing import resource_tracker
+from repro.mpi import run_spmd
+
+def prog(comm):
+    comm.bcast(np.ones(100_000) if comm.Get_rank() == 0 else None, root=0)
+    return resource_tracker._resource_tracker._pid
+res = run_spmd(2, prog, backend="processes")
+print(json.dumps([resource_tracker._resource_tracker._pid] + res.returns))
+"""
+
+
 class TestProtocol:
     def test_both_communicators_expose_exactly_the_kept_calls(self):
         assert _public(Communicator(World(2), 0)) == KEPT_CALLS
@@ -146,6 +157,29 @@ class TestProtocol:
         assert isinstance(err, MPIEmulatorError)
         assert "'send'" in str(err)
 
+    @needs_fork
+    def test_unpicklable_return_fails_that_rank(self):
+        def prog(comm):
+            return threading.Lock() if comm.Get_rank() == 1 else 1
+        with pytest.raises(RankFailedError) as exc_info:
+            run_spmd(2, prog, backend="processes", timeout=10)
+        assert list(exc_info.value.failures) == [1]
+        assert "could not be transferred" \
+            in str(exc_info.value.failures[1])
+
+    @needs_fork
+    def test_no_resource_tracker_started(self):
+        """A large bcast starts no helper process, in the parent or a
+        rank; a fresh interpreter has none to begin with."""
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACKER_PROBE],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) \
+            == [None, None, None]
+
     def test_auto_backend_is_what_perfbench_gates_on(self):
         """perfbench's fingerprint reads ``resolve_mpi_backend(None,
         size=2)``, and ``fit_learn_spmd`` gates on the backend a 2-rank
@@ -167,80 +201,41 @@ class TestProtocol:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory payload codec
+# Payloads received over the pipe
 # ----------------------------------------------------------------------
-class TestShmCodec:
-    def _namer(self, prefix="repro-test-shm"):
-        seq = iter(range(1000))
-        return lambda: f"{prefix}-{os.getpid()}-{next(seq)}"
+_Pair = namedtuple("_Pair", "a b")
 
-    def test_export_map_roundtrip_copy(self):
-        arr = np.arange(300.0).reshape(30, 10)
-        payload = export_array(arr, f"repro-test-shm-{os.getpid()}-rt")
-        assert isinstance(payload, ShmPayload)
-        out = map_array(payload, copy=True)
-        np.testing.assert_array_equal(out, arr)
-        assert out.flags.writeable
 
-    def test_export_map_roundtrip_pinned(self):
-        arr = np.arange(64, dtype=np.int64)
-        payload = export_array(arr, f"repro-test-shm-{os.getpid()}-pin")
-        view, seg = map_array(payload, copy=False)
-        try:
-            np.testing.assert_array_equal(view, arr)
-        finally:
-            del view
-            seg.close()
+class TestReceivedPayloads:
+    def test_reintern_restores_dtype_singletons_in_nested_payload(self):
+        """Dtypes change in place; the containers, and their types, are
+        the ones unpickled."""
+        value = pickle.loads(pickle.dumps(
+            {"pair": _Pair(np.arange(5, dtype=np.int64), [np.ones(2)]),
+             "tag": 7}))
+        assert value["pair"].a.dtype is not np.dtype(np.int64)
+        assert _reintern(value) is value
+        assert isinstance(value["pair"], _Pair)
+        assert value["pair"].a.dtype is np.dtype(np.int64)
+        assert value["pair"].b[0].dtype is np.dtype(np.float64)
 
-    def test_small_arrays_ride_the_pipe(self):
-        small = np.ones(4)
-        enc = encode_payload(small, self._namer())
-        assert enc is small  # untouched, no segment created
+    @needs_fork
+    def test_namedtuple_payload_identical_across_backends(self):
+        """A namedtuple stays one on the rank, and bills as on threads."""
+        def prog(comm):
+            got = comm.bcast(_Pair(1, np.arange(3)) if comm.Get_rank() == 0
+                             else None, root=0)
+            return type(got).__name__, _Pair(comm.Get_rank(), "x")
 
-    def test_large_arrays_use_shm(self):
-        big = np.ones(SHM_THRESHOLD_BYTES // 8 + 16)
-        enc = encode_payload(big, self._namer())
-        assert isinstance(enc, ShmPayload)
-        np.testing.assert_array_equal(decode_payload(enc), big)
-
-    def test_nested_containers(self):
-        big = np.ones(SHM_THRESHOLD_BYTES // 8 + 16)
-        value = {"pair": (big, np.arange(3)), "tag": 7}
-        enc = encode_payload(value, self._namer())
-        assert isinstance(enc["pair"][0], ShmPayload)
-        dec = decode_payload(enc)
-        np.testing.assert_array_equal(dec["pair"][0], big)
-        np.testing.assert_array_equal(dec["pair"][1], np.arange(3))
-        assert dec["tag"] == 7
-
-    def test_decode_reports_names(self):
-        big = np.zeros(SHM_THRESHOLD_BYTES // 8 + 16)
-        enc = encode_payload([big, big + 1], self._namer())
-        seen: list = []
-        decode_payload(enc, on_name=seen.append)
-        assert len(seen) == 2
-
-    def test_decode_reinterns_dtype_singleton(self):
-        import pickle
-        arr = pickle.loads(pickle.dumps(np.arange(5, dtype=np.int64)))
-        out = decode_payload(arr)
-        assert out.dtype is np.dtype(np.int64)
-
-    def test_registry_drain_and_sweep(self):
-        prefix = f"repro-test-orph-{os.getpid()}"
-        registry = SegmentRegistry()
-        for i in range(3):
-            export_array(np.ones(10), f"{prefix}-{i}")
-            registry.add(f"{prefix}-{i}")
-        assert registry.drain() == 3
-        assert registry.drain() == 0
-        export_array(np.ones(10), f"{prefix}-stray")
-        if os.path.isdir("/dev/shm"):
-            assert sweep_orphans(prefix) == 1
-            assert not glob.glob(f"/dev/shm/{prefix}*")
-        else:  # still reclaim it on exotic hosts
-            from repro.mpi.shm import unlink_quiet
-            unlink_quiet(f"{prefix}-stray")
+        runs = [run_spmd(2, prog, backend=name)
+                for name in ("threads", "processes")]
+        threads, procs = ({op: (t.calls, t.payload_words)
+                           for op, t in res.traffic.snapshot().items()}
+                          for res in runs)
+        assert threads == procs
+        assert runs[1].returns == [("_Pair", _Pair(0, "x")),
+                                   ("_Pair", _Pair(1, "x"))]
+        assert all(isinstance(r[1], _Pair) for r in runs[1].returns)
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +245,7 @@ def _mixed_traffic_program(comm):
     """Exercises every kept call: a large-payload bcast, each named op,
     a nonzero root, object and array gathers, and flop charges."""
     rank, size = comm.Get_rank(), comm.Get_size()
-    big = np.full(20_000, float(rank))  # above the shm threshold
+    big = np.full(20_000, float(rank))  # 160 KB, one pipe message
     got = comm.bcast(big if rank == 0 else None, root=0)
     total = comm.allreduce(float(got[0]) + rank, op="sum")
     total += comm.allreduce(np.arange(3.0) * (rank + 1), op="prod")[2]
@@ -333,8 +328,3 @@ class TestBackendParity:
             clocks.pop("wall_time", None)
             sections[name] = (clocks, report["traffic"])
         assert sections["threads"] == sections["processes"]
-
-    def test_no_shm_leak_after_runs(self):
-        run_spmd(3, _mixed_traffic_program, backend="processes")
-        if os.path.isdir("/dev/shm"):
-            assert not glob.glob("/dev/shm/repro-mpi-*")

@@ -501,6 +501,11 @@ class TestMaintainer:
             assert 3 in reseeded
             assert np.linalg.norm(mnt.updater.atoms[:, 3]) > 0
             assert mnt.stats.counts[3] >= 0
+            # Re-seeds are unit atoms, as a fit's are, and the refresh
+            # keeps them there.
+            atoms = mnt.build_generation().dictionary.atoms
+            np.testing.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0,
+                                       rtol=1e-12)
         finally:
             mnt.close()
 

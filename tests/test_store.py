@@ -460,6 +460,21 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="eps"):
             bad.run(resume=True)
 
+    def test_unnormalized_checkpoint_refused(self, store, tmp_path):
+        """Atoms are always unit: a manifest recording ``normalize:
+        false`` came from raw atoms, so resuming it would mix bits."""
+        from repro.store.streaming import CHECKPOINT_NAME
+
+        ck = tmp_path / "ck"
+        self._encoder(store, ck).run()
+        manifest = ck / CHECKPOINT_NAME
+        doc = json.loads(manifest.read_text())
+        assert doc["params"]["normalize"] is True
+        doc["params"]["normalize"] = False
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="normalize"):
+            self._encoder(store, ck).run(resume=True)
+
     @pytest.mark.parametrize("version", [2, 3, 999])
     def test_other_format_version_refused(self, store, tmp_path, version):
         """v2 blocks were encoded by the LAPACK-order kernel and v3 blocks

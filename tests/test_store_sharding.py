@@ -87,11 +87,6 @@ class TestSampleStoreDictionary:
             np.testing.assert_array_equal(d.indices, ref.indices)
             np.testing.assert_array_equal(d.atoms, ref.atoms)
 
-    def test_unnormalized(self, store):
-        d = sample_store_dictionary(store, 10, seed=1, normalize=False)
-        raw = store.read_columns(d.indices)
-        np.testing.assert_array_equal(d.atoms, raw)
-
 
 class TestStoreDistributedTransform:
     def _assert_bit_identical(self, serial, candidate):
